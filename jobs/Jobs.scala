@@ -1,12 +1,11 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.bench._
 
 /** Shared SparkSession bootstrap for the per-table entrypoints. */
 object JobSession {
   def create(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -76,7 +76,6 @@ object JoinEnum {
     var probes = 0
     val seen  = new Array[Boolean](g.n)
     fwd.foreach { case (meetL, pfs) =>
-      val meet = meetL.toInt
       bwd.get(meetL).foreach { pbs =>
         var i = 0
         while (i < pfs.length) {

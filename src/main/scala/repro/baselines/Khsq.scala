@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Bfs, LocalGraph}
-import scala.collection.mutable.ArrayBuffer
 
 /** KHSQ [25]: the k-hop s-t subgraph G^k_st — all edges e(u,v) with
   * Δ(s,u) + 1 + Δ(v,t) ≤ k, i.e. every edge on *some* (not necessarily
@@ -16,23 +15,8 @@ object Khsq {
 
   /** G^k_st as a subgraph over the same vertex-id space. */
   def subgraph(g: LocalGraph, s: Int, t: Int, k: Int, plus: Boolean): LocalGraph = {
-    val mode  = if (plus) Bfs.SearchMode.Adaptive else Bfs.SearchMode.Single
-    val dists = Bfs.distances(g, s, t, k, mode)
-    val kept  = new ArrayBuffer[Long]()
-    var u = 0
-    while (u < g.n) {
-      val du = dists.fromS(u)
-      if (du < k) {
-        val a = g.outAdj(u); var j = 0
-        while (j < a.length) {
-          val v = a(j)
-          if (dists.toT(v) <= k - 1 - du) kept += LocalGraph.enc(u, v)
-          j += 1
-        }
-      }
-      u += 1
-    }
-    LocalGraph.fromEncodedEdges(g.n, kept.toArray)
+    val mode = if (plus) Bfs.SearchMode.Adaptive else Bfs.SearchMode.Single
+    LocalGraph.fromEncodedEdges(g.n, Bfs.window(g, Bfs.distances(g, s, t, k, mode), k))
   }
 
   /** Encoded edge set of G^k_st (for size comparisons in tests). */

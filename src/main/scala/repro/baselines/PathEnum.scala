@@ -33,50 +33,20 @@ object PathEnum {
     def asGraph: LocalGraph = new LocalGraph(n, out, in)
   }
 
-  /** Insertion sort of a small adjacency array by an Int key. */
-  private def sortBy(a: Array[Int], keyOf: Int => Int): Unit = {
-    var i = 1
-    while (i < a.length) {
-      val x = a(i); val kx = keyOf(x)
-      var j = i - 1
-      while (j >= 0 && keyOf(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
-      a(j + 1) = x
-      i += 1
-    }
-  }
-
   def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int): Index = {
-    val distF = Bfs.bounded(g.outAdj, g.n, s, k)
-    val distB = Bfs.bounded(g.inAdj, g.n, t, k)
-    val kept  = new ArrayBuffer[Long]()
-    var u = 0
-    while (u < g.n) {
-      val du = distF(u)
-      if (du < k) {
-        val a = g.outAdj(u); var j = 0
-        while (j < a.length) {
-          val v = a(j)
-          if (distB(v) <= k - 1 - du) kept += LocalGraph.enc(u, v)
-          j += 1
-        }
-      }
-      u += 1
-    }
-    val fwd = kept.toArray
-    java.util.Arrays.sort(fwd)
-    val out = LocalGraph.grouped(g.n, fwd)
-    val rev = fwd.map(e => LocalGraph.enc(LocalGraph.dst(e), LocalGraph.src(e)))
-    java.util.Arrays.sort(rev)
-    val in = LocalGraph.grouped(g.n, rev)
+    val dists = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
+    val gst   = LocalGraph.fromEncodedEdges(g.n, Bfs.window(g, dists, k))
+    val out   = gst.outAdj
+    val in    = gst.inAdj
     // Sort out-neighbors closest-to-target first (and symmetrically), the
     // index ordering PathEnum's DFS relies on for early termination.
     var w = 0
     while (w < g.n) {
-      if (out(w).length > 1) sortBy(out(w), distB(_))
-      if (in(w).length > 1) sortBy(in(w), distF(_))
+      if (out(w).length > 1) LocalGraph.sortBy(out(w), dists.toT(_).toLong)
+      if (in(w).length > 1) LocalGraph.sortBy(in(w), dists.fromS(_).toLong)
       w += 1
     }
-    new Index(g.n, k, s, t, distF, distB, out, in)
+    new Index(g.n, k, s, t, dists.toAll, dists.fromAll, out, in)
   }
 
   /** Sparse walk-count DP over the index: level l maps vertex -> number of

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable
 
 /** Bounded shortest-distance computation (§3.3 of the paper).
   *
@@ -21,7 +21,8 @@ import scala.collection.mutable.ArrayBuffer
   *
   * All three return exact Δ(s,y) and Δ(y,t) for every y with
   * Δ(s,y)+Δ(y,t) ≤ k (property-tested), encoded as Int arrays with
-  * [[Bfs.Inf]] for "unknown / > k".
+  * [[Bfs.Inf]] for "unknown / > k". Every search here, and the verifier's
+  * distance-to-boundary search, runs on one frontier step, `step`.
   */
 object Bfs {
 
@@ -43,29 +44,56 @@ object Bfs {
     /** Δ(y,t). */ def toT(y: Int): Int   = fromAll(y)
   }
 
-  /** Plain k-bounded BFS over the given adjacency from `root`. */
-  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] = {
-    val dist = Array.fill(n)(Inf)
-    dist(root) = 0
-    var frontier = ArrayBuffer(root)
-    var d = 0
-    while (d < k && frontier.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < frontier.length) {
-        val x = frontier(i); val a = adj(x); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dist(y) == Inf) { dist(y) = d + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      frontier = next
-      d += 1
-    }
+  /** A distance array of length n with every vertex unreached. */
+  private def unreached(n: Int): Array[Int] = {
+    val dist = new Array[Int](n)
+    java.util.Arrays.fill(dist, Inf)
     dist
   }
+
+  /** One BFS level: every still-unreached neighbor y over `adj` of a
+    * `frontier` vertex (all at distance `depth`) gets distance depth+1 —
+    * when `within` is given, only if `within(y) ≤ limit`. Returns those
+    * vertices, the next frontier.
+    */
+  private def step(adj: Array[Array[Int]], dist: Array[Int], frontier: Array[Int], depth: Int,
+                   within: Array[Int], limit: Int): Array[Int] = {
+    val next = new mutable.ArrayBuilder.ofInt
+    var i = 0
+    while (i < frontier.length) {
+      val a = adj(frontier(i)); var j = 0
+      while (j < a.length) {
+        val y = a(j)
+        if (dist(y) == Inf && (within == null || within(y) <= limit)) { dist(y) = depth + 1; next += y }
+        j += 1
+      }
+      i += 1
+    }
+    next.result()
+  }
+
+  /** Repeat [[step]] from `frontier` at `depth` until depth k or an empty
+    * frontier.
+    */
+  private def expand(adj: Array[Array[Int]], dist: Array[Int], frontier: Array[Int], depth: Int, k: Int,
+                     within: Array[Int] = null, limit: Int = Inf): Unit = {
+    var f = frontier; var d = depth
+    while (d < k && f.nonEmpty) { f = step(adj, dist, f, d, within, limit); d += 1 }
+  }
+
+  /** k-bounded BFS over `adj` from all `roots` at once: the distance to the
+    * nearest root, Inf beyond k.
+    */
+  def nearest(adj: Array[Array[Int]], n: Int, roots: Array[Int], k: Int): Array[Int] = {
+    val dist = unreached(n)
+    roots.foreach(dist(_) = 0)
+    expand(adj, dist, roots, 0, k)
+    dist
+  }
+
+  /** Plain k-bounded BFS over the given adjacency from `root`. */
+  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] =
+    nearest(adj, n, Array(root), k)
 
   /** Compute Δ(s,·) and Δ(·,t) bounded by k with the requested strategy. */
   def distances(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode): Dists =
@@ -80,42 +108,12 @@ object Bfs {
     * then restricted continuations (see the class doc for the guarantee).
     */
   private def bidirectional(g: LocalGraph, s: Int, t: Int, k: Int, adaptive: Boolean): Dists = {
-    val n  = g.n
-    val dF = Array.fill(n)(Inf); dF(s) = 0
-    val dB = Array.fill(n)(Inf); dB(t) = 0
-    var fF = ArrayBuffer(s)
-    var fB = ArrayBuffer(t)
+    val dF = unreached(g.n); dF(s) = 0
+    val dB = unreached(g.n); dB(t) = 0
+    var fF = Array(s)
+    var fB = Array(t)
     var depthF = 0
     var depthB = 0
-
-    def stepF(restrictToB: Boolean): Unit = {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fF.length) {
-        val a = g.outAdj(fF(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dF(y) == Inf && (!restrictToB || dB(y) != Inf)) { dF(y) = depthF + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fF = next; depthF += 1
-    }
-    def stepB(restrictToF: Boolean): Unit = {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fB.length) {
-        val a = g.inAdj(fB(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dB(y) == Inf && (!restrictToF || dF(y) != Inf)) { dB(y) = depthB + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fB = next; depthB += 1
-    }
 
     // Phase 1: split the total depth budget k between the two sides.
     while (depthF + depthB < k && (fF.nonEmpty || fB.nonEmpty)) {
@@ -124,47 +122,41 @@ object Bfs {
         else if (fB.isEmpty) true
         else if (adaptive) fF.length <= fB.length
         else depthF <= depthB // strict alternation, forward first (⌈k/2⌉ / ⌊k/2⌋)
-      if (forward) stepF(restrictToB = false) else stepB(restrictToF = false)
+      if (forward) { fF = step(g.outAdj, dF, fF, depthF, null, Inf); depthF += 1 }
+      else { fB = step(g.inAdj, dB, fB, depthB, null, Inf); depthB += 1 }
     }
-    // Snapshot which vertices each phase-1 side has seen: the continuations
-    // below must restrict to the *opposite phase-1* exploration, so run the
-    // forward continuation against a frozen view of dB and vice versa.
-    val dBPhase1 = dB.clone()
-    val dFPhase1 = dF.clone()
-    val fBPhase1 = fB
-
-    // Phase 2a: forward continuation for the remaining steps, over vertices
-    // explored backward in phase 1.
-    while (depthF < k && fF.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fF.length) {
-        val a = g.outAdj(fF(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dF(y) == Inf && dBPhase1(y) != Inf) { dF(y) = depthF + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fF = next; depthF += 1
-    }
-    // Phase 2b: backward continuation over vertices explored forward in phase 1.
-    fB = fBPhase1
-    while (depthB < k && fB.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < fB.length) {
-        val a = g.inAdj(fB(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dB(y) == Inf && dFPhase1(y) != Inf) { dB(y) = depthB + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      fB = next; depthB += 1
-    }
+    // Phase 2: each side continues to depth k, restricted to the vertices
+    // the opposite side explored in phase 1. The forward continuation never
+    // writes dB, so every finite dB(y) ≤ depthB is a phase-1 visit; it only
+    // assigns forward depths above depthF, so dF(y) ≤ depthF still selects
+    // the phase-1 forward visits for the backward continuation.
+    expand(g.outAdj, dF, fF, depthF, k, within = dB, limit = depthB)
+    expand(g.inAdj, dB, fB, depthB, k, within = dF, limit = depthF)
     Dists(dF, dB)
+  }
+
+  /** The G^k_st window: e(u,v) lies on some ≤k-hop s-t walk iff
+    * Δ(s,u)+1+Δ(v,t) ≤ k. Written so that Inf operands cannot overflow.
+    */
+  @inline def inWindow(fromSu: Int, toTv: Int, k: Int): Boolean = toTv <= k - 1 - fromSu
+
+  /** Every edge of G inside the window (the edge set of G^k_st), encoded
+    * via [[LocalGraph.enc]] and in source order.
+    */
+  def window(g: LocalGraph, d: Dists, k: Int): Array[Long] = {
+    val out = new mutable.ArrayBuilder.ofLong
+    var u = 0
+    while (u < g.n) {
+      val du = d.fromS(u)
+      if (du < k) {
+        val a = g.outAdj(u); var j = 0
+        while (j < a.length) {
+          if (inWindow(du, d.toT(a(j)), k)) out += LocalGraph.enc(u, a(j))
+          j += 1
+        }
+      }
+      u += 1
+    }
+    out.result()
   }
 }

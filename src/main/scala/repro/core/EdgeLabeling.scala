@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Edge labels of §4: 0 = failing, 1 = undetermined, 2 = definite. */
@@ -30,59 +29,51 @@ final class UpperBoundGraph(
   def undeterminedEdges: Iterator[Long] =
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Undetermined => e }
 
-  /** Out-adjacency restricted to SPGu edges. */
-  lazy val outU: Array[Array[Int]] = UpperBoundGraph.adj(n, edges, forward = true)
-  /** In-adjacency restricted to SPGu edges. */
-  lazy val inU: Array[Array[Int]] = UpperBoundGraph.adj(n, edges, forward = false)
-
-  lazy val edgeSet: java.util.HashSet[java.lang.Long] = {
-    val set = new java.util.HashSet[java.lang.Long](edges.length * 2)
-    edges.foreach(e => set.add(e))
-    set
-  }
-  def containsEdge(u: Int, v: Int): Boolean = edgeSet.contains(LocalGraph.enc(u, v))
-}
-
-object UpperBoundGraph {
-  private def adj(n: Int, edges: Array[Long], forward: Boolean): Array[Array[Int]] = {
-    val enc =
-      if (forward) edges.clone()
-      else edges.map(e => LocalGraph.enc(LocalGraph.dst(e), LocalGraph.src(e)))
-    java.util.Arrays.sort(enc)
-    LocalGraph.grouped(n, enc)
-  }
+  /** SPGu as a graph over the same vertex ids (adjacency for boundary and
+    * verification).
+    */
+  lazy val graph: LocalGraph = LocalGraph.fromEncodedEdges(n, edges.clone())
 }
 
 /** Algorithm 2 — per-edge labeling against the essential-vertex indexes. */
 object EdgeLabeling {
 
-  /** Label a single edge e(u,v). `evF` is the forward index (from s), `evB`
-    * the backward index (to t). Follows Algorithm 2 line-by-line; see the
-    * paper's Lemmas 4.4/4.6 and Theorem 4.3 for why checking kb = k-kf-1
-    * covers all smaller kb.
+  /** Vertex `v`'s column of an [[EvIndex]], re-pointed per edge so that
+    * labeling allocates nothing per edge.
     */
-  def labelEdge(k: Int, s: Int, t: Int, u: Int, v: Int, evF: EvIndex, evB: EvIndex): Byte = {
+  private final class IndexColumn(ev: EvIndex) extends EvColumn {
+    private val layers = ev.layers
+    var v = 0
+    def apply(l: Int): Array[Int] = layers(l)(v)
+  }
+
+  /** Label a single edge e(u,v) from its two EV columns: `fu(l)` is
+    * EV_l(s,u) and `bv(l)` is EV_l(v,t) for l in 0..k-1, null where absent.
+    * Follows Algorithm 2 line-by-line; see the paper's Lemmas 4.4/4.6 and
+    * Theorem 4.3 for why checking kb = k-kf-1 covers all smaller kb.
+    */
+  def labelEdge(k: Int, s: Int, t: Int, u: Int, v: Int, fu: EvColumn, bv: EvColumn): Byte = {
     // line 1: first-hop from s / last-hop into t (Lemma 4.4, an iff).
-    if (u == s) return if (evB.exists(k - 1, v)) EdgeLabel.Definite else EdgeLabel.Failing
-    if (v == t) return if (evF.exists(k - 1, u)) EdgeLabel.Definite else EdgeLabel.Failing
+    if (u == s) return if (bv(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
+    if (v == t) return if (fu(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
     if (k >= 2) {
       // line 3: second-hop from s (Lemma 4.6).
-      if (evF.exists(1, u)) {
-        val b2 = evB.at(k - 2, v)
+      if (fu(1) != null) {
+        val b2 = bv(k - 2)
         if (b2 != null && !VSet.contains(b2, u)) return EdgeLabel.Definite
       }
       // line 4: second-hop into t (symmetric).
-      if (evB.exists(1, v)) {
-        val f2 = evF.at(k - 2, u)
+      if (bv(1) != null) {
+        val f2 = fu(k - 2)
         if (f2 != null && !VSet.contains(f2, v)) return EdgeLabel.Definite
       }
     }
     // lines 5-8: remaining (kf, kb) pairs with kf+kb+1 = k (Theorem 4.3).
     var kf = 2
     while (kf <= k - 3) {
-      val a = evF.at(kf, u)
+      val a = fu(kf)
       if (a != null) {
-        val b = evB.at(k - kf - 1, v)
+        val b = bv(k - kf - 1)
         if (b != null && VSet.disjoint(a, b)) return EdgeLabel.Undetermined
       }
       kf += 1
@@ -90,9 +81,9 @@ object EdgeLabeling {
     EdgeLabel.Failing
   }
 
-  /** Label every edge inside the bi-directional search space and assemble the
-    * upper-bound graph. Edges with Δ(s,u)+1+Δ(v,t) > k are failing without
-    * inspection (they violate the length constraint outright).
+  /** Label every edge of the G^k_st window and assemble the upper-bound
+    * graph. Edges outside the window violate the length constraint outright
+    * and are failing without inspection.
     */
   def upperBound(
       g: LocalGraph,
@@ -103,29 +94,21 @@ object EdgeLabeling {
       evF: EvIndex,
       evB: EvIndex,
   ): UpperBoundGraph = {
-    val edges  = new ArrayBuffer[Long]()
-    val labels = new ArrayBuffer[Byte]()
-    var u = 0
-    while (u < g.n) {
-      val du = dists.fromS(u)
-      if (du < k) {
-        val outs = g.outAdj(u)
-        var j = 0
-        while (j < outs.length) {
-          val v = outs(j)
-          if (dists.toT(v) <= k - 1 - du) {
-            val lab = labelEdge(k, s, t, u, v, evF, evB)
-            if (lab != EdgeLabel.Failing) {
-              edges += LocalGraph.enc(u, v)
-              labels += lab
-            }
-          }
-          j += 1
-        }
-      }
-      u += 1
+    val edges  = Bfs.window(g, dists, k)
+    val labels = new Array[Byte](edges.length)
+    val fu = new IndexColumn(evF)
+    val bv = new IndexColumn(evB)
+    var kept = 0
+    var i = 0
+    while (i < edges.length) {
+      val e = edges(i); val u = LocalGraph.src(e); val v = LocalGraph.dst(e)
+      fu.v = u; bv.v = v
+      val lab = labelEdge(k, s, t, u, v, fu, bv)
+      if (lab != EdgeLabel.Failing) { edges(kept) = e; labels(kept) = lab; kept += 1 }
+      i += 1
     }
-    new UpperBoundGraph(g.n, k, s, t, edges.toArray, labels.toArray)
+    new UpperBoundGraph(g.n, k, s, t,
+      java.util.Arrays.copyOf(edges, kept), java.util.Arrays.copyOf(labels, kept))
   }
 }
 
@@ -152,6 +135,8 @@ object Boundary {
   def compute(ub: UpperBoundGraph): Boundary = {
     val n   = ub.n
     val cap = math.max(1, ub.k - 2)
+    val outU = ub.graph.outAdj
+    val inU  = ub.graph.inAdj
     val isD = new Array[Boolean](n)
     val isA = new Array[Boolean](n)
     val inD  = new Array[ArrayBuffer[Int]](n)
@@ -159,8 +144,8 @@ object Boundary {
 
     // Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t distinct and
     // e(s,x), e(x,v) ∈ SPGu.
-    for (x <- ub.outU(ub.s) if x != ub.t) {        // e(s,x) ∈ SPGu, x ≠ s by no-self-loop
-      for (v <- ub.outU(x) if v != ub.s && v != ub.t && v != x) {
+    for (x <- outU(ub.s) if x != ub.t) {        // e(s,x) ∈ SPGu, x ≠ s by no-self-loop
+      for (v <- outU(x) if v != ub.s && v != ub.t && v != x) {
         isD(v) = true
         if (inD(v) == null) inD(v) = new ArrayBuffer[Int]()
         if (inD(v).length < cap && !inD(v).contains(x)) inD(v) += x
@@ -168,8 +153,8 @@ object Boundary {
     }
     // Definition 5.3: v ∈ A iff ∃ out-neighbor y with v,y,s,t distinct and
     // e(v,y), e(y,t) ∈ SPGu.
-    for (y <- ub.inU(ub.t) if y != ub.s) {         // e(y,t) ∈ SPGu
-      for (v <- ub.inU(y) if v != ub.s && v != ub.t && v != y) {
+    for (y <- inU(ub.t) if y != ub.s) {         // e(y,t) ∈ SPGu
+      for (v <- inU(y) if v != ub.s && v != ub.t && v != y) {
         isA(v) = true
         if (outA(v) == null) outA(v) = new ArrayBuffer[Int]()
         if (outA(v).length < cap && !outA(v).contains(y)) outA(v) += y

@@ -13,7 +13,15 @@ import scala.collection.mutable.ArrayBuffer
 final class EvIndex(val k: Int, val layers: Array[Array[Array[Int]]]) extends Serializable {
   /** EV set for paths of length ≤ l, or null. Requires 0 ≤ l ≤ k-1. */
   def at(l: Int, v: Int): Array[Int] = layers(l)(v)
-  def exists(l: Int, v: Int): Boolean = layers(l)(v) != null
+}
+
+/** The EV sets of one vertex across layers: `apply(l)` is EV_l of that
+  * vertex for l in 0..k-1, null where absent. [[EdgeLabeling.labelEdge]]
+  * reads one column per endpoint of an edge, whether the sets are stored
+  * per layer ([[EvIndex]]) or per vertex ([[repro.distributed.DistEve]]).
+  */
+trait EvColumn {
+  def apply(l: Int): Array[Int]
 }
 
 /** Propagating computation of essential vertices (Algorithm 1).
@@ -51,7 +59,6 @@ object EssentialVertices {
 
     var frontier = ArrayBuffer(source)
     val touched  = new ArrayBuffer[Int]()
-    val changedAt = Array.fill(n)(-1) // layer at which the vertex was last updated
     // Vertices with a non-null set at any layer so far: inheritance (line 12)
     // only needs to visit these, keeping each layer O(|reached|), not O(|V|).
     val reached   = ArrayBuffer(source)
@@ -115,7 +122,7 @@ object EssentialVertices {
         val y = touched(ti)
         val changed = (prev(y) == null) || (cur(y).length != prev(y).length) ||
           !java.util.Arrays.equals(cur(y), prev(y))
-        if (changed && changedAt(y) != l) { next += y; changedAt(y) = l }
+        if (changed) next += y
         ti += 1
       }
       frontier = next

@@ -64,6 +64,7 @@ object Eve {
       config: EveConfig = EveConfig.Default,
       deadline: Long = Deadline.None,
   ): EveResult = {
+    require(s >= 0 && s < g.n && t >= 0 && t < g.n, s"query endpoints ($s,$t) out of range [0,${g.n})")
     require(s != t, "query requires s != t")
     require(k >= 1, "hop constraint must be >= 1")
 

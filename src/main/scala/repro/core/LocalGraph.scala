@@ -52,7 +52,7 @@ final class LocalGraph(
 
   /** All edges encoded via [[LocalGraph.enc]]. */
   def encodedEdges: Array[Long] = {
-    val out = new Array[Long](m.toInt)
+    val out = new Array[Long](Math.toIntExact(m))
     var i = 0; var u = 0
     while (u < n) {
       val a = outAdj(u); var j = 0
@@ -113,7 +113,7 @@ object LocalGraph {
   /** Group a sorted, deduped encoded-edge array into per-src adjacency;
     * untouched vertices share one empty array.
     */
-  def grouped(n: Int, sorted: Array[Long]): Array[Array[Int]] = {
+  private def grouped(n: Int, sorted: Array[Long]): Array[Array[Int]] = {
     val out = new Array[Array[Int]](n)
     var i = 0
     while (i < sorted.length) {
@@ -128,6 +128,20 @@ object LocalGraph {
     var v = 0
     while (v < n) { if (out(v) == null) out(v) = Array.emptyIntArray; v += 1 }
     out
+  }
+
+  /** Insertion sort of an adjacency array by a Long key: adjacency lists
+    * sorted per query are short, and this avoids boxing.
+    */
+  def sortBy(a: Array[Int], key: Int => Long): Unit = {
+    var i = 1
+    while (i < a.length) {
+      val x = a(i); val kx = key(x)
+      var j = i - 1
+      while (j >= 0 && key(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
+      a(j + 1) = x
+      i += 1
+    }
   }
 }
 

@@ -37,9 +37,9 @@ final class Verifier(
 
   // Adjacency over SPGu, optionally re-ordered per §5.3.
   private val outAdj: Array[Array[Int]] =
-    if (ordering) Verifier.orderedOut(ub, boundary) else ub.outU
+    if (ordering) Verifier.orderedOut(ub, boundary) else ub.graph.outAdj
   private val inAdj: Array[Array[Int]] =
-    if (ordering) Verifier.orderedIn(ub, boundary) else ub.inU
+    if (ordering) Verifier.orderedIn(ub, boundary) else ub.graph.inAdj
 
   private val onStack = new Array[Boolean](n)
   private val stkE    = new ArrayBuffer[Long]()
@@ -151,29 +151,6 @@ final class Verifier(
 
 object Verifier {
 
-  /** Multi-source BFS distance over the given adjacency from all `sources`. */
-  private def multiSourceDist(adj: Array[Array[Int]], n: Int, sources: Seq[Int]): Array[Int] = {
-    val dist = Array.fill(n)(Bfs.Inf)
-    var frontier = new ArrayBuffer[Int]()
-    sources.foreach { s => if (dist(s) == Bfs.Inf) { dist(s) = 0; frontier += s } }
-    var d = 0
-    while (frontier.nonEmpty) {
-      val next = new ArrayBuffer[Int]()
-      var i = 0
-      while (i < frontier.length) {
-        val a = adj(frontier(i)); var j = 0
-        while (j < a.length) {
-          val y = a(j)
-          if (dist(y) == Bfs.Inf) { dist(y) = d + 1; next += y }
-          j += 1
-        }
-        i += 1
-      }
-      frontier = next; d += 1
-    }
-    dist
-  }
-
   /** §5.3: sort out-neighbors ascending by distance to the closest arrival
     * (following SPGu edges forward); arrivals themselves (distance 0) sort by
     * |Out_A| descending.
@@ -181,12 +158,12 @@ object Verifier {
   private[core] def orderedOut(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
     // Distance from w to the nearest arrival along forward edges = BFS from
     // the arrival set over reversed SPGu edges.
-    val distToArr = multiSourceDist(ub.inU, ub.n, b.arrivals)
-    ub.outU.map { a =>
+    val distToArr = Bfs.nearest(ub.graph.inAdj, ub.n, b.arrivals.toArray, Bfs.Inf)
+    ub.graph.outAdj.map { a =>
       if (a.length <= 1) a
       else {
         val copy = a.clone()
-        sortByKeys(copy, w => key(distToArr(w), if (b.outA(w) == null) 0 else b.outA(w).length))
+        LocalGraph.sortBy(copy, w => key(distToArr(w), if (b.outA(w) == null) 0 else b.outA(w).length))
         copy
       }
     }
@@ -196,12 +173,12 @@ object Verifier {
     * departure; departures sort by |In_D| descending.
     */
   private[core] def orderedIn(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
-    val distFromDep = multiSourceDist(ub.outU, ub.n, b.departures)
-    ub.inU.map { a =>
+    val distFromDep = Bfs.nearest(ub.graph.outAdj, ub.n, b.departures.toArray, Bfs.Inf)
+    ub.graph.inAdj.map { a =>
       if (a.length <= 1) a
       else {
         val copy = a.clone()
-        sortByKeys(copy, w => key(distFromDep(w), if (b.inD(w) == null) 0 else b.inD(w).length))
+        LocalGraph.sortBy(copy, w => key(distFromDep(w), if (b.inD(w) == null) 0 else b.inD(w).length))
         copy
       }
     }
@@ -212,16 +189,4 @@ object Verifier {
     */
   @inline private def key(dist: Int, setSize: Int): Long =
     (dist.toLong << 32) | ((Int.MaxValue - setSize).toLong & 0xffffffffL)
-
-  /** Insertion sort — SPGu degrees are small, avoids boxing entirely. */
-  private def sortByKeys(a: Array[Int], f: Int => Long): Unit = {
-    var i = 1
-    while (i < a.length) {
-      val x = a(i); val kx = f(x)
-      var j = i - 1
-      while (j >= 0 && f(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
-      a(j + 1) = x
-      i += 1
-    }
-  }
 }

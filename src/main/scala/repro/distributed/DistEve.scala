@@ -5,8 +5,6 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 
-import scala.collection.mutable.ArrayBuffer
-
 /** EVE as a distributed dataflow over GraphX vertex/edge RDDs.
   *
   * Phase mapping (mirrors [[repro.core.Eve]]):
@@ -20,7 +18,10 @@ import scala.collection.mutable.ArrayBuffer
   *     sharded across executors, each shard verified with the sequential
   *     [[repro.core.Verifier]].
   *
-  * Entry/exit are DataFrames of (src, dst) Long columns.
+  * Entry/exit are DataFrames of (src, dst) Long columns. The VertexIds are
+  * compacted to dense Int ids once at entry and mapped back at exit, so the
+  * phases share the sequential EVE's [[repro.core.VSet]] sets,
+  * [[repro.core.EdgeLabeling.labelEdge]] and [[repro.core.Verifier]].
   */
 object DistEve {
 
@@ -50,51 +51,12 @@ object DistEve {
     res.vertices
   }
 
-  // --- sorted Array[Long] set helpers (the VSet analogue for VertexIds) ---
-
-  private[distributed] def addL(a: Array[Long], x: Long): Array[Long] = {
-    val pos = java.util.Arrays.binarySearch(a, x)
-    if (pos >= 0) a
-    else {
-      val ins = -pos - 1
-      val out = new Array[Long](a.length + 1)
-      System.arraycopy(a, 0, out, 0, ins)
-      out(ins) = x
-      System.arraycopy(a, ins, out, ins + 1, a.length - ins)
-      out
-    }
-  }
-
-  private[distributed] def intersectL(a: Array[Long], b: Array[Long]): Array[Long] = {
-    var i = 0; var j = 0; var c = 0
-    val tmp = new Array[Long](math.min(a.length, b.length))
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { tmp(c) = a(i); c += 1; i += 1; j += 1 }
-    }
-    if (c == tmp.length) tmp else java.util.Arrays.copyOf(tmp, c)
-  }
-
-  private def disjointL(a: Array[Long], b: Array[Long]): Boolean = {
-    var i = 0; var j = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else return false
-    }
-    true
-  }
-
-  private def containsL(a: Array[Long], x: Long): Boolean =
-    java.util.Arrays.binarySearch(a, x) >= 0
-
   /** Vertex state during propagation: distance to the opposite endpoint (for
     * pruning), the EV layers accumulated so far, and the delta flag.
     */
   private case class PropState(
       distOther: Int,
-      layers: Array[Array[Long]],
+      layers: Array[Array[Int]],
       changed: Boolean,
   ) extends Serializable
 
@@ -104,13 +66,13 @@ object DistEve {
     */
   private[distributed] def propagate(
       base: Graph[Int, Byte], // vertex attr = distance to the *other* endpoint
-      source: VertexId,
-      excluded: VertexId,
+      source: Int,
+      excluded: Int,
       k: Int,
       forward: Boolean,
-  ): VertexRDD[Array[Array[Long]]] = {
+  ): VertexRDD[Array[Array[Int]]] = {
     var g: Graph[PropState, Byte] = base.mapVertices { (id, dOther) =>
-      val layers = new Array[Array[Long]](math.max(k, 1))
+      val layers = new Array[Array[Int]](math.max(k, 1))
       if (id == source) layers(0) = Array(source)
       PropState(dOther, layers, changed = id == source)
     }.cache()
@@ -118,18 +80,18 @@ object DistEve {
     var l = 1
     while (l <= k - 1) {
       val lNow = l
-      val msgs: VertexRDD[Array[Long]] = g.aggregateMessages[Array[Long]](
+      val msgs: VertexRDD[Array[Int]] = g.aggregateMessages[Array[Int]](
         ctx => {
           val (sAttr, dId, dAttr) =
             if (forward) (ctx.srcAttr, ctx.dstId, ctx.dstAttr)
             else (ctx.dstAttr, ctx.srcId, ctx.srcAttr)
           if (sAttr.changed && sAttr.layers(lNow - 1) != null &&
               dId != source && dId != excluded && dAttr.distOther <= k - lNow) {
-            val msg = addL(sAttr.layers(lNow - 1), dId)
+            val msg = VSet.add(sAttr.layers(lNow - 1), dId.toInt)
             if (forward) ctx.sendToDst(msg) else ctx.sendToSrc(msg)
           }
         },
-        intersectL,
+        VSet.intersect,
       )
       val prev = g
       g = g.outerJoinVertices(msgs) { (_, attr, msgOpt) =>
@@ -138,7 +100,7 @@ object DistEve {
           case None =>
             PropState(attr.distOther, attr.layers.updated(lNow, inherited), changed = false)
           case Some(m) =>
-            val merged = if (inherited == null) m else intersectL(inherited, m)
+            val merged = if (inherited == null) m else VSet.intersect(inherited, m)
             val changed = inherited == null || !java.util.Arrays.equals(merged, inherited)
             PropState(attr.distOther, attr.layers.updated(lNow, merged), changed)
         }
@@ -150,58 +112,39 @@ object DistEve {
     g.vertices.mapValues(_.layers)
   }
 
-  /** Algorithm 2 over Array[Long] EV layers (mirrors
-    * [[repro.core.EdgeLabeling.labelEdge]]; equivalence is asserted by
-    * DistEveSpec against the local implementation).
-    */
-  private[distributed] def labelEdge(
-      k: Int, s: VertexId, t: VertexId, u: VertexId, v: VertexId,
-      evF: Array[Array[Long]], evB: Array[Array[Long]]): Byte = {
-    @inline def fAt(l: Int): Array[Long] = if (evF == null) null else evF(l)
-    @inline def bAt(l: Int): Array[Long] = if (evB == null) null else evB(l)
-    if (u == s) return if (bAt(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
-    if (v == t) return if (fAt(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
-    if (k >= 2) {
-      if (fAt(1) != null) {
-        val b2 = bAt(k - 2)
-        if (b2 != null && !containsL(b2, u)) return EdgeLabel.Definite
-      }
-      if (bAt(1) != null) {
-        val f2 = fAt(k - 2)
-        if (f2 != null && !containsL(f2, v)) return EdgeLabel.Definite
-      }
-    }
-    var kf = 2
-    while (kf <= k - 3) {
-      val a = fAt(kf)
-      if (a != null) {
-        val b = bAt(k - kf - 1)
-        if (b != null && disjointL(a, b)) return EdgeLabel.Undetermined
-      }
-      kf += 1
-    }
-    EdgeLabel.Failing
-  }
-
   /** Compute SPG_k(s,t) and return its edges as a DataFrame (src, dst). */
   def spg(spark: SparkSession, edgesDf: DataFrame, s: Long, t: Long, k: Int): DataFrame = {
     require(s != t, "query requires s != t")
+    require(k >= 1, "hop constraint must be >= 1")
+    import spark.implicits._
+    def empty: DataFrame = Seq.empty[(Long, Long)].toDF("src", "dst")
     val sc = spark.sparkContext
-    val edgeRdd: RDD[(VertexId, VertexId)] =
+    val rawEdges: RDD[(VertexId, VertexId)] =
       edgesDf.select("src", "dst").rdd
         .map(r => (r.getLong(0), r.getLong(1)))
         .filter { case (u, v) => u != v }
         .distinct()
+
+    // Dense id i stands for VertexId ids(i).
+    val ids = rawEdges.flatMap { case (u, v) => Iterator(u, v) }.distinct().collect().sorted
+    require(ids.length < Int.MaxValue, s"${ids.length} vertices do not fit Int ids")
+    val sC = java.util.Arrays.binarySearch(ids, s)
+    val tC = java.util.Arrays.binarySearch(ids, t)
+    if (sC < 0 || tC < 0) return empty // an endpoint without edges
+    val bcIds = sc.broadcast(ids)
+    val edgeRdd: RDD[(VertexId, VertexId)] = rawEdges.mapPartitions { it =>
+      val ids = bcIds.value
+      it.map { case (u, v) =>
+        (java.util.Arrays.binarySearch(ids, u).toLong, java.util.Arrays.binarySearch(ids, v).toLong)
+      }
+    }
     val graph = Graph.fromEdgeTuples(edgeRdd, defaultValue = 0).cache()
 
     // Phase 1a: distances.
-    val dF = pregelDist(graph, s, k, reverse = false)
-    val dB = pregelDist(graph, t, k, reverse = true)
-    val reachable = dF.filter { case (id, d) => id == t && d <= k }.count() > 0
-    if (!reachable) {
-      import spark.implicits._
-      return Seq.empty[(Long, Long)].toDF("src", "dst")
-    }
+    val dF = pregelDist(graph, sC, k, reverse = false)
+    val dB = pregelDist(graph, tC, k, reverse = true)
+    val reachable = dF.filter { case (id, d) => id == tC && d <= k }.count() > 0
+    if (!reachable) return empty
 
     // Phase 1b: essential-vertex propagation (forward needs Δ(·,t), backward Δ(s,·)).
     val gForDists: Graph[(Int, Int), Byte] = graph
@@ -210,41 +153,28 @@ object DistEve {
       .mapEdges(_ => 0.toByte)
     val gPruneF = gForDists.mapVertices((_, d) => d._2) // attr = Δ(·,t)
     val gPruneB = gForDists.mapVertices((_, d) => d._1) // attr = Δ(s,·)
-    val evF = propagate(gPruneF, s, t, k, forward = true)
-    val evB = propagate(gPruneB, t, s, k, forward = false)
+    val evF = propagate(gPruneF, sC, tC, k, forward = true)
+    val evB = propagate(gPruneB, tC, sC, k, forward = false)
 
     // Phase 2: labeling over triplets carrying ((dF,dB), evF, evB).
-    val withEv: Graph[((Int, Int), Array[Array[Long]], Array[Array[Long]]), Byte] = gForDists
+    val withEv: Graph[((Int, Int), Array[Array[Int]], Array[Array[Int]]), Byte] = gForDists
       .outerJoinVertices(evF)((_, d, e) => (d, e.orNull))
       .outerJoinVertices(evB)((_, de, e) => (de._1, de._2, e.orNull))
-    val labeled: RDD[(Long, Long, Byte)] = withEv.triplets.flatMap { tr =>
-      val (du, _, _) = tr.srcAttr
-      val (dv, _, _) = tr.dstAttr
-      if (du._1 < k && dv._2 <= k - 1 - du._1) {
-        val lab = labelEdge(k, s, t, tr.srcId, tr.dstId, tr.srcAttr._2, tr.dstAttr._3)
-        if (lab != EdgeLabel.Failing) Iterator((tr.srcId, tr.dstId, lab)) else Iterator.empty
+    val labeled: RDD[(Long, Byte)] = withEv.triplets.flatMap { tr =>
+      if (Bfs.inWindow(tr.srcAttr._1._1, tr.dstAttr._1._2, k)) {
+        val u = tr.srcId.toInt; val v = tr.dstId.toInt
+        val (fu, bv) = (tr.srcAttr._2, tr.dstAttr._3)
+        val lab = EdgeLabeling.labelEdge(k, sC, tC, u, v, fu(_), bv(_))
+        if (lab != EdgeLabel.Failing) Iterator((LocalGraph.enc(u, v), lab)) else Iterator.empty
       } else Iterator.empty
     }
     val upper = labeled.collect()
+    val ub    = new UpperBoundGraph(ids.length, k, sC, tC, upper.map(_._1), upper.map(_._2))
 
     // Phase 3: verification. The upper-bound graph is query-local and small;
-    // compact its ids, broadcast it, and verify undetermined edges in
-    // parallel shards.
-    val ids = upper.iterator.flatMap { case (u, v, _) => Iterator(u, v) }.toArray.distinct.sorted
-    val idOf = ids.zipWithIndex.toMap
-    // s/t may be absent from the upper bound only when it is empty.
-    if (upper.isEmpty) {
-      import spark.implicits._
-      return Seq.empty[(Long, Long)].toDF("src", "dst")
-    }
-    val n   = ids.length
-    val enc = upper.map { case (u, v, _) => LocalGraph.enc(idOf(u), idOf(v)) }
-    // s and t are always endpoints of the upper bound when t is k-reachable:
-    // the shortest s-t path's edges are in SPG ⊆ SPGu.
-    val ub = new UpperBoundGraph(n, k, idOf(s), idOf(t), enc, upper.map(_._3))
-
-    val resultCompact: Set[Long] =
-      if (k <= 4) enc.toSet
+    // broadcast it and verify undetermined edges in parallel shards.
+    val result: Set[Long] =
+      if (k <= 4) ub.edges.toSet
       else {
         val boundary = Boundary.compute(ub)
         val definite = ub.definiteEdges.toSet
@@ -265,8 +195,7 @@ object DistEve {
         definite ++ verified
       }
 
-    import spark.implicits._
-    resultCompact.toSeq
+    result.toSeq
       .map(e => (ids(LocalGraph.src(e)), ids(LocalGraph.dst(e))))
       .sorted
       .toDF("src", "dst")

@@ -4,6 +4,8 @@ import org.apache.spark.sql.SparkSession
 import repro.baselines.{BcDfs, JoinEnum, PathEnum}
 import repro.core._
 
+import scala.util.control.NonFatal
+
 /** SPG-generation algorithms runnable per query on an executor. A sealed
   * enum rather than closures keeps Spark serialization trivial and names the
   * algorithm in reports.
@@ -40,9 +42,11 @@ object SpgAlgo {
 }
 
 /** Outcome of one query: wall time on the executor, result size, whether the
-  * per-query deadline fired (reported as INF, the paper's convention).
+  * per-query deadline fired (reported as INF, the paper's convention), and
+  * the exception that failed the query, if any (`edges` is then -1).
   */
-final case class QueryOutcome(s: Int, t: Int, timeNs: Long, edges: Int, timedOut: Boolean)
+final case class QueryOutcome(s: Int, t: Int, timeNs: Long, edges: Int, timedOut: Boolean,
+                              error: Option[String] = None)
     extends Serializable
 
 final case class BatchResult(algo: String, outcomes: Seq[QueryOutcome]) {
@@ -87,6 +91,8 @@ object QueryRunner {
         } catch {
           case _: DeadlineExceeded =>
             QueryOutcome(s, t, System.nanoTime() - start, -1, timedOut = true)
+          case NonFatal(e) => // one bad query must not fail the batch
+            QueryOutcome(s, t, System.nanoTime() - start, -1, timedOut = false, error = Some(e.toString))
         }
       }
       .collect()

@@ -1,7 +1,5 @@
 package repro
 
-import org.apache.spark.sql.functions._
-
 class SynthDataSpec extends SparkSpec {
 
   test("graphEdges: no self loops, no duplicates, ids in range") {
@@ -17,17 +15,5 @@ class SynthDataSpec extends SparkSpec {
     val a = SynthData.graphEdges(spark, 50, 120, seed = 9).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val b = SynthData.graphEdges(spark, 50, 120, seed = 9).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(a == b)
-  }
-
-  test("lineitem generator matches DuckDB on a simple aggregate") {
-    val li = SynthData.lineitem(spark, sf = 0.001).cache()
-    val q  = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"))
-      .select(col("l_returnflag"), col("cnt"))
-    Oracle.assertEquivalent(
-      q,
-      "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li,
-    )
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{Deadline, DeadlineExceeded, Eve, LocalGraph, PaperGraph}
+import repro.core.{DeadlineExceeded, Eve, LocalGraph, PaperGraph}
 import repro.data.GraphGen
 
 class BaselinesSpec extends SparkSpec {

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{Bfs, LocalGraph, PaperGraph}
+import repro.core.{Bfs, EdgeLabeling, EssentialVertices, LocalGraph, PaperGraph}
 import repro.data.GraphGen
 
 class KhsqSpec extends SparkSpec {
@@ -17,10 +17,18 @@ class KhsqSpec extends SparkSpec {
 
   for (seed <- 0 until 10; k <- Seq(3, 5, 7)) {
     test(s"KHSQ subgraph equals the distance-window definition (seed=$seed k=$k)") {
-      val g = GraphGen.uniform(20, 60, seed * 23 + k)
-      val s = seed % g.n; val t = (seed * 3 + 4) % g.n
-      if (s != t) {
-        assert(Khsq.edges(g, s, t, k, plus = false) == reference(g, s, t, k))
+      for (g <- Seq(GraphGen.uniform(20, 60, seed * 23 + k), GraphGen.powerLaw(30, 90, 0.9, seed * 23 + k))) {
+        val s = seed % g.n; val t = (seed * 3 + 4) % g.n
+        if (s != t) {
+          val ref = reference(g, s, t, k)
+          assert(Khsq.edges(g, s, t, k, plus = false) == ref)
+          val index = PathEnum.buildIndex(g, s, t, k).asGraph
+          assert(index.edges.map { case (u, v) => LocalGraph.enc(u, v) }.toSet == ref, "PathEnum index")
+          val d   = Bfs.distances(g, s, t, k, Bfs.SearchMode.Adaptive)
+          val evF = EssentialVertices.propagate(g, s, t, k, d.fromAll, pruning = true)
+          val evB = EssentialVertices.propagate(g.reverse, t, s, k, d.toAll, pruning = true)
+          assert(EdgeLabeling.upperBound(g, s, t, k, d, evF, evB).edges.toSet.subsetOf(ref), "SPGu")
+        }
       }
     }
     test(s"KHSQ+ equals KHSQ (seed=$seed k=$k)") {

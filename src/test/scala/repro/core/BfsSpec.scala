@@ -9,8 +9,21 @@ import repro.data.GraphGen
   */
 class BfsSpec extends SparkSpec {
 
+  /** Reference k-bounded distances: a plain queue BFS, independent of [[Bfs]]. */
+  private def queueBfs(adj: Array[Array[Int]], root: Int, k: Int): Array[Int] = {
+    val dist  = Array.fill(adj.length)(Bfs.Inf)
+    val queue = scala.collection.mutable.Queue(root)
+    dist(root) = 0
+    while (queue.nonEmpty) {
+      val x = queue.dequeue()
+      if (dist(x) < k)
+        for (y <- adj(x) if dist(y) == Bfs.Inf) { dist(y) = dist(x) + 1; queue.enqueue(y) }
+    }
+    dist
+  }
+
   private def fullDists(g: LocalGraph, s: Int, t: Int, k: Int): Bfs.Dists =
-    Bfs.Dists(Bfs.bounded(g.outAdj, g.n, s, k), Bfs.bounded(g.inAdj, g.n, t, k))
+    Bfs.Dists(queueBfs(g.outAdj, s, k), queueBfs(g.inAdj, t, k))
 
   test("bounded BFS distances on the paper graph") {
     import PaperGraph._
@@ -27,6 +40,17 @@ class BfsSpec extends SparkSpec {
     val d = Bfs.bounded(graph.inAdj, graph.n, t, 3)
     assert(d(i) == Bfs.Inf) // Δ(i,t)=4 > 3
     assert(d(j) == 3)
+  }
+
+  for (seed <- 0 until 5) {
+    test(s"multi-root distances are the minimum over the roots (seed=$seed)") {
+      val g     = GraphGen.powerLaw(40, 120, alpha = 0.9, seed)
+      val roots = Array(seed % g.n, (seed + 11) % g.n, (seed + 23) % g.n)
+      val k     = 3 + seed % 3
+      val d     = Bfs.nearest(g.outAdj, g.n, roots, k)
+      for (y <- 0 until g.n)
+        assert(d(y) == roots.map(r => queueBfs(g.outAdj, r, k)(y)).min, s"y=$y")
+    }
   }
 
   test("single-mode distances equal full BFS") {

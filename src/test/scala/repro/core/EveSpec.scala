@@ -10,6 +10,14 @@ class EveSpec extends SparkSpec {
     intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, 0, 0, 4))
   }
 
+  test("rejects s or t outside [0, n)") {
+    val n = PaperGraph.graph.n
+    for ((s, t) <- Seq((-1, 7), (n, 7), (0, -1), (0, n))) {
+      val e = intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, s, t, 4))
+      assert(e.getMessage.contains("out of range"), s"($s,$t)")
+    }
+  }
+
   test("rejects k < 1") {
     intercept[IllegalArgumentException](Eve.run(PaperGraph.graph, 0, 7, 0))
   }

@@ -54,21 +54,56 @@ class DistEveSpec extends SparkSpec {
     assert(distSpg(g, s, t, k) == exp)
   }
 
-  test("labelEdge (Long) mirrors the sequential labeler on the paper graph") {
-    import PaperGraph._
-    import repro.core.{Bfs, EdgeLabeling, EssentialVertices}
-    val k     = 7
-    val dists = Bfs.distances(graph, s, t, k, Bfs.SearchMode.Single)
-    val evF   = EssentialVertices.propagate(graph, s, t, k, dists.fromAll, pruning = false)
-    val evB   = EssentialVertices.propagate(graph.reverse, t, s, k, dists.toAll, pruning = false)
-    def toL(layers: Array[Array[Int]]): Array[Array[Long]] =
-      layers.map(l => if (l == null) null else l.map(_.toLong))
-    for ((u, v) <- PaperGraph.edges) {
-      val local = EdgeLabeling.labelEdge(k, s, t, u, v, evF, evB)
-      val fL    = toL((0 until k).map(l => evF.at(l, u)).toArray)
-      val bL    = toL((0 until k).map(l => evB.at(l, v)).toArray)
-      val dist  = DistEve.labelEdge(k, s, t, u, v, fL, bL)
-      assert(local == dist, s"edge ($u,$v)")
+  /** DistEve with every vertex v relabelled to a sparse VertexId above 2^32
+    * (in shuffled order), answers mapped back to the original ids.
+    */
+  private def relabelledSpg(g: LocalGraph, s: Int, t: Int, k: Int, seed: Int): Set[(Long, Long)] = {
+    import spark.implicits._
+    val perm  = new scala.util.Random(seed).shuffle((0 until g.n).toVector)
+    val id    = perm.map(p => (1L << 32) + 1000003L * p + 17)
+    val back  = id.zipWithIndex.toMap
+    val edges = g.edges.map { case (u, v) => (id(u), id(v)) }.toSeq.toDF("src", "dst")
+    DistEve.spg(spark, edges, id(s), id(t), k).collect()
+      .map(r => (back(r.getLong(0)).toLong, back(r.getLong(1)).toLong)).toSet
+  }
+
+  private def bruteSpg(g: LocalGraph, s: Int, t: Int, k: Int): Set[(Long, Long)] =
+    BruteForce.spg(g, s, t, k).map(e => (LocalGraph.src(e).toLong, LocalGraph.dst(e).toLong))
+
+  for (seed <- 0 until 3) {
+    test(s"sparse VertexIds above 2^32 give the local SPG (seed=$seed)") {
+      val g = GraphGen.uniform(24, 72, seed * 13 + 5)
+      val k = 4 + seed
+      val (s, t) = GraphGen.queries(g, k, 1, seed).head
+      assert(relabelledSpg(g, s, t, k, seed) == localSpg(g, s, t, k))
     }
+  }
+
+  for (k <- Seq(1, 2, 3)) {
+    test(s"small k: DistEve equals brute force (k=$k)") {
+      val g = GraphGen.uniform(20, 70, 31 + k)
+      for ((s, t) <- GraphGen.queries(g, k, 2, seed = k))
+        assert(distSpg(g, s, t, k) == bruteSpg(g, s, t, k), s"($s,$t)")
+    }
+  }
+
+  test("source without out-edges yields an empty SPG") {
+    val g = LocalGraph.fromEdges(5, Seq((1, 0), (2, 0), (1, 2), (2, 3), (3, 4), (4, 1)))
+    assert(distSpg(g, 0, 3, 5).isEmpty)
+    assert(bruteSpg(g, 0, 3, 5).isEmpty)
+  }
+
+  test("target adjacent to the source: DistEve equals brute force") {
+    val g = LocalGraph.fromEdges(6, Seq((0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 5), (5, 1), (1, 3)))
+    for (k <- Seq(1, 2, 5)) assert(distSpg(g, 0, 1, k) == bruteSpg(g, 0, 1, k), s"k=$k")
+  }
+
+  test("complete graph on 6 vertices: DistEve equals brute force") {
+    val g = LocalGraph.fromEdges(6, for (u <- 0 until 6; v <- 0 until 6 if u != v) yield (u, v))
+    for (k <- Seq(3, 5)) assert(distSpg(g, 0, 5, k) == bruteSpg(g, 0, 5, k), s"k=$k")
+  }
+
+  test("rejects k < 1") {
+    intercept[IllegalArgumentException](DistEve.spg(spark, SpgOracle.edgesDf(spark, PaperGraph.graph), 0, 7, 0))
   }
 }

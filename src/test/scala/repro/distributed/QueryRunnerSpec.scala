@@ -37,6 +37,19 @@ class QueryRunnerSpec extends SparkSpec {
     assert(r.outcomes.size == 3)
   }
 
+  test("a query that throws fails alone, with its error recorded") {
+    val g   = GraphGen.uniform(200, 800, 4)
+    val bad = (g.n + 5, 0) // out of range: Eve.run throws
+    val qs  = GraphGen.queries(g, 5, 6, seed = 3) :+ bad
+    val r   = QueryRunner.run(spark, g, qs, 5, SpgAlgo.EveAlgo(), timeoutMs = 30000)
+    assert(r.outcomes.size == qs.size)
+    val (failed, ok) = r.outcomes.partition(_.error.isDefined)
+    assert(failed.map(o => (o.s, o.t)) == Seq(bad))
+    assert(failed.head.edges == -1 && !failed.head.timedOut)
+    assert(failed.head.error.get.contains("out of range"))
+    assert(ok.forall(o => o.edges > 0 && !o.timedOut))
+  }
+
   test("totals aggregate per-query times") {
     val g  = GraphGen.dataset("tw").build()
     val qs = GraphGen.queries(g, 4, 5, seed = 11)
