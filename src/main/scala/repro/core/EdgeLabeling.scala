@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Edge labels of §4: 0 = failing, 1 = undetermined, 2 = definite. */
 object EdgeLabel {
   val Failing: Byte      = 0
@@ -10,18 +8,21 @@ object EdgeLabel {
 }
 
 /** The upper-bound graph SPGu_k(s,t) (Definition 4.1) with per-edge labels,
-  * plus the adjacency needed by verification.
+  * plus the adjacency needed by verification. An edge's position in the
+  * strictly ascending `edges` is its SPGu edge id, which verification uses.
   */
 final class UpperBoundGraph(
     val n: Int,
     val k: Int,
     val s: Int,
     val t: Int,
-    /** Encoded edges with label ≥ 1 (see [[LocalGraph.enc]]). */
+    /** Encoded edges with label ≥ 1 (see [[LocalGraph.enc]]), ascending. */
     val edges: Array[Long],
     /** Parallel to [[edges]]: 1 or 2. */
     val labels: Array[Byte],
 ) extends Serializable {
+  require({ var i = 1; while (i < edges.length && edges(i - 1) < edges(i)) i += 1; i >= edges.length },
+    "SPGu edges must be strictly ascending")
 
   def numEdges: Int = edges.length
   def definiteEdges: Iterator[Long] =
@@ -133,34 +134,38 @@ final class Boundary(
 object Boundary {
 
   def compute(ub: UpperBoundGraph): Boundary = {
-    val n   = ub.n
-    val cap = math.max(1, ub.k - 2)
-    val outU = ub.graph.outAdj
-    val inU  = ub.graph.inAdj
-    val isD = new Array[Boolean](n)
-    val isA = new Array[Boolean](n)
-    val inD  = new Array[ArrayBuffer[Int]](n)
-    val outA = new Array[ArrayBuffer[Int]](n)
-
+    val isD = new Array[Boolean](ub.n)
+    val isA = new Array[Boolean](ub.n)
     // Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t distinct and
     // e(s,x), e(x,v) ∈ SPGu.
-    for (x <- outU(ub.s) if x != ub.t) {        // e(s,x) ∈ SPGu, x ≠ s by no-self-loop
-      for (v <- outU(x) if v != ub.s && v != ub.t && v != x) {
-        isD(v) = true
-        if (inD(v) == null) inD(v) = new ArrayBuffer[Int]()
-        if (inD(v).length < cap && !inD(v).contains(x)) inD(v) += x
-      }
-    }
+    val inD = validNeighbors(ub.graph.outAdj, ub.s, ub.t, ub.k, isD)
     // Definition 5.3: v ∈ A iff ∃ out-neighbor y with v,y,s,t distinct and
     // e(v,y), e(y,t) ∈ SPGu.
-    for (y <- inU(ub.t) if y != ub.s) {         // e(y,t) ∈ SPGu
-      for (v <- inU(y) if v != ub.s && v != ub.t && v != y) {
-        isA(v) = true
-        if (outA(v) == null) outA(v) = new ArrayBuffer[Int]()
-        if (outA(v).length < cap && !outA(v).contains(y)) outA(v) += y
+    val outA = validNeighbors(ub.graph.inAdj, ub.t, ub.s, ub.k, isA)
+    new Boundary(isD, isA, inD, outA)
+  }
+
+  /** Each walk root → x → v over `adj` with root, x, v, `other` distinct marks
+    * v and records x, up to max(1, k-2) per v (Theorem 5.8); pairs are unique.
+    */
+  private def validNeighbors(adj: Array[Array[Int]], root: Int, other: Int, k: Int,
+                             mark: Array[Boolean]): Array[Array[Int]] = {
+    val cap   = math.max(1, k - 2)
+    val lists = new Array[Array[Int]](adj.length)
+    val size  = new Array[Int](adj.length)
+    val first = adj(root)
+    for (i <- first.indices) {
+      val x = first(i)
+      if (x != other) for (j <- adj(x).indices) {
+        val v = adj(x)(j)
+        if (v != root && v != other && v != x) {
+          mark(v) = true
+          if (lists(v) == null) lists(v) = new Array[Int](cap)
+          if (size(v) < cap) { lists(v)(size(v)) = x; size(v) += 1 }
+        }
       }
     }
-    new Boundary(isD, isA, inD.map(b => if (b == null) null else b.toArray),
-      outA.map(b => if (b == null) null else b.toArray))
+    for (v <- lists.indices) if (lists(v) != null) lists(v) = java.util.Arrays.copyOf(lists(v), size(v))
+    lists
   }
 }

@@ -28,6 +28,10 @@ final case class EveStats(
     definiteEdges: Int,
     undeterminedEdges: Int,
     resultEdges: Int,
+    /** DFS frames entered by verification (Algorithm 3). */
+    verifySteps: Long = 0,
+    /** Undetermined edges not searched: an earlier witness path confirmed them. */
+    witnessSkipped: Int = 0,
 ) {
   def totalNs: Long = distNs + propagateNs + labelNs + verifyNs
 }
@@ -36,7 +40,7 @@ final case class EveStats(
   * was refined from, and phase statistics.
   */
 final case class EveResult(
-    /** Exact SPG_k(s,t) edges, encoded (sorted for determinism). */
+    /** Exact SPG_k(s,t) edges, encoded, ascending. */
     edges: Array[Long],
     /** The upper-bound graph SPGu_k(s,t). */
     upperBound: UpperBoundGraph,
@@ -89,23 +93,10 @@ object Eve {
     val ub = EdgeLabeling.upperBound(g, s, t, k, dists, evF, evB)
     val t3 = System.nanoTime()
 
-    val resultSet: java.util.HashSet[java.lang.Long] =
-      if (k <= 4) {
-        // Theorem 4.8: SPGu = SPG, no verification needed.
-        val set = new java.util.HashSet[java.lang.Long]()
-        ub.edges.foreach(e => set.add(e))
-        set
-      } else {
-        val boundary = Boundary.compute(ub)
-        new Verifier(ub, boundary, config.ordering, deadline).verify()
-      }
+    // Theorem 4.8: for k ≤ 4 SPGu = SPG, no verification needed.
+    val verifier = if (k <= 4) null else new Verifier(ub, Boundary.compute(ub), config.ordering, deadline)
+    val edges    = if (verifier == null) ub.edges else verifier.spgEdges()
     val t4 = System.nanoTime()
-
-    val edges = new Array[Long](resultSet.size())
-    val it    = resultSet.iterator()
-    var i     = 0
-    while (it.hasNext) { edges(i) = it.next(); i += 1 }
-    java.util.Arrays.sort(edges)
 
     val definite = ub.labels.count(_ == EdgeLabel.Definite)
     EveResult(
@@ -120,6 +111,8 @@ object Eve {
         definiteEdges = definite,
         undeterminedEdges = ub.numEdges - definite,
         resultEdges = edges.length,
+        verifySteps = if (verifier == null) 0 else verifier.steps,
+        witnessSkipped = if (verifier == null) 0 else verifier.skipped,
       ),
     )
   }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Cooperative deadline for long-running searches. Benchmarks set a per-query
   * budget; algorithms check it periodically and abort with this exception,
   * which the harness reports as INF (the paper's timeout convention).
@@ -23,8 +21,9 @@ object Deadline {
   * path q* of ≤ k-4 hops from a departure to an arrival through e(u,v) such
   * that some valid in-neighbor of the departure and valid out-neighbor of the
   * arrival are distinct and off-stack (Theorem 5.6). Every edge of a found q*
-  * is added to the result, so later undetermined edges on the same witness
-  * path are skipped.
+  * is confirmed, so later undetermined edges on the same witness path are
+  * skipped. Adjacency, witness stack and result hold SPGu edge ids
+  * ([[UpperBoundGraph]]), so nothing is boxed per edge or per step.
   */
 final class Verifier(
     ub: UpperBoundGraph,
@@ -32,72 +31,89 @@ final class Verifier(
     ordering: Boolean,
     deadline: Long,
 ) {
-  private val n = ub.n
   private val k = ub.k
-
-  // Adjacency over SPGu, optionally re-ordered per §5.3.
-  private val outAdj: Array[Array[Int]] =
-    if (ordering) Verifier.orderedOut(ub, boundary) else ub.graph.outAdj
-  private val inAdj: Array[Array[Int]] =
-    if (ordering) Verifier.orderedIn(ub, boundary) else ub.graph.inAdj
-
-  private val onStack = new Array[Boolean](n)
-  private val stkE    = new ArrayBuffer[Long]()
-  private var steps   = 0
-
-  /** Edges confirmed to belong to SPG_k (definite edges plus witnessed
-    * undetermined ones), as an encoded-edge hash set.
-    */
-  def verify(): java.util.HashSet[java.lang.Long] = {
-    val result = new java.util.HashSet[java.lang.Long]()
-    ub.definiteEdges.foreach(e => result.add(e))
-    if (k >= 5) {
-      val undetermined = ub.undeterminedEdges.toArray
-      var i = 0
-      while (i < undetermined.length) {
-        val e = undetermined(i)
-        if (!result.contains(e)) verifyEdge(e, result)
-        i += 1
-      }
-    }
-    result
+  private val m = ub.numEdges
+  private val eSrc = new Array[Int](m)
+  private val eDst = new Array[Int](m)
+  /** SPG membership per edge id; definite edges are in from the start. */
+  private val inSpg = new Array[Boolean](m)
+  for (e <- 0 until m) {
+    eSrc(e) = LocalGraph.src(ub.edges(e)); eDst(e) = LocalGraph.dst(ub.edges(e))
+    inSpg(e) = ub.labels(e) == EdgeLabel.Definite
   }
 
-  /** Verify one undetermined edge, adding the witness path's edges to
-    * `result` when found. Exposed for the distributed verifier, which shards
-    * the undetermined edges across executors.
+  // Edge ids by source / by target (CSR), ascending within a vertex like
+  // ub.graph's neighbors. §5.3 orders out-edges by the head's distance to
+  // the nearest arrival, arrivals by |Out_A| descending; in-edges by the
+  // tail's distance from the nearest departure, departures by |In_D|.
+  private val (outOff, outIds) = Verifier.group(
+    if (!ordering) Array.range(0, m)
+    else Verifier.ranked(eDst, Bfs.nearest(ub.graph.inAdj, ub.n, boundary.arrivals.toArray, Bfs.Inf),
+      boundary.outA, k), eSrc, ub.n)
+  private val (inOff, inIds) = Verifier.group(
+    if (!ordering) Array.range(0, m)
+    else Verifier.ranked(eSrc, Bfs.nearest(ub.graph.outAdj, ub.n, boundary.departures.toArray, Bfs.Inf),
+      boundary.inD, k), eDst, ub.n)
+
+  private val onStack = new Array[Boolean](ub.n)
+  private val stack   = new Array[Int](k) // witness path edge ids; q* has ≤ k-4
+  private var depth   = 0
+  private var frames  = 0L
+  private var skips   = 0
+
+  /** DFS frames entered so far. */
+  def steps: Long = frames
+  /** Undetermined edges skipped because an earlier witness path confirmed them. */
+  def skipped: Int = skips
+
+  /** Algorithm 3's outer loop over the undetermined edge ids `ids`, in
+    * order; an id already confirmed is skipped. Returns the SPG membership
+    * of every SPGu edge id: the definite edges plus the witnessed ones.
     */
-  def verifyEdge(e: Long, result: java.util.HashSet[java.lang.Long]): Boolean = {
-    val u = LocalGraph.src(e); val v = LocalGraph.dst(e)
-    onStack(u) = true; onStack(v) = true; onStack(ub.s) = true; onStack(ub.t) = true
-    stkE.clear(); stkE += e
-    val found = forward(v, 1, u, result)
+  def confirm(ids: Array[Int]): Array[Boolean] = {
+    var i = 0; while (i < ids.length) { visit(ids(i)); i += 1 }
+    inSpg
+  }
+
+  /** SPG_k's edges: `ub.edges` filtered after confirming every undetermined
+    * edge in ascending id order, so already sorted.
+    */
+  def spgEdges(): Array[Long] = {
+    var e = 0; while (e < m) { if (ub.labels(e) == EdgeLabel.Undetermined) visit(e); e += 1 }
+    val out = new Array[Long](m); var w = 0
+    e = 0; while (e < m) { if (inSpg(e)) { out(w) = ub.edges(e); w += 1 }; e += 1 }
+    java.util.Arrays.copyOf(out, w)
+  }
+
+  /** [[spgEdges]] as an encoded-edge hash set. */
+  def verify(): java.util.HashSet[java.lang.Long] =
+    new java.util.HashSet[java.lang.Long](java.util.Arrays.asList(spgEdges().map(Long.box): _*))
+
+  private def visit(e: Int): Unit = if (inSpg(e)) skips += 1 else search(e)
+
+  private def search(e: Int): Unit = {
+    onStack(eSrc(e)) = true; onStack(eDst(e)) = true; onStack(ub.s) = true; onStack(ub.t) = true
+    stack(0) = e; depth = 1
+    forward(eDst(e), 1, eSrc(e))
     // On success the early returns skip the per-frame pops, so clear every
     // vertex the surviving stack touched — a stale mark would wrongly block
     // later edges' searches.
-    var i = 0
-    while (i < stkE.length) {
-      val se = stkE(i)
-      onStack(LocalGraph.src(se)) = false
-      onStack(LocalGraph.dst(se)) = false
-      i += 1
-    }
-    onStack(u) = false; onStack(v) = false; onStack(ub.s) = false; onStack(ub.t) = false
-    found
+    var i = 0; while (i < depth) { onStack(eSrc(stack(i))) = false; onStack(eDst(stack(i))) = false; i += 1 }
+    onStack(ub.s) = false; onStack(ub.t) = false
   }
 
-  private def forward(cur: Int, l: Int, u: Int, result: java.util.HashSet[java.lang.Long]): Boolean = {
-    steps += 1
-    if ((steps & 0x3ff) == 0) Deadline.check(deadline)
-    if (boundary.isArrival(cur) && backward(u, l, cur, result)) return true
+  private def forward(cur: Int, l: Int, u: Int): Boolean = {
+    frames += 1
+    if ((frames & 0x3ff) == 0) Deadline.check(deadline)
+    if (boundary.isArrival(cur) && backward(u, l, cur)) return true
     if (l < k - 4) {
-      val outs = outAdj(cur); var j = 0
-      while (j < outs.length) {
-        val nxt = outs(j)
+      var j = outOff(cur); val end = outOff(cur + 1)
+      while (j < end) {
+        val e = outIds(j); val nxt = eDst(e)
         if (!onStack(nxt)) {
-          onStack(nxt) = true; stkE += LocalGraph.enc(cur, nxt)
-          if (forward(nxt, l + 1, u, result)) return true
-          onStack(nxt) = false; stkE.remove(stkE.length - 1)
+          onStack(nxt) = true; stack(depth) = e; depth += 1
+          if (forward(nxt, l + 1, u)) return true
+          onStack(nxt) = false; depth -= 1
         }
         j += 1
       }
@@ -105,18 +121,18 @@ final class Verifier(
     false
   }
 
-  private def backward(cur: Int, l: Int, arrival: Int, result: java.util.HashSet[java.lang.Long]): Boolean = {
-    steps += 1
-    if ((steps & 0x3ff) == 0) Deadline.check(deadline)
-    if (boundary.isDeparture(cur) && tryAddEdges(cur, arrival, result)) return true
+  private def backward(cur: Int, l: Int, arrival: Int): Boolean = {
+    frames += 1
+    if ((frames & 0x3ff) == 0) Deadline.check(deadline)
+    if (boundary.isDeparture(cur) && tryAddEdges(cur, arrival)) return true
     if (l < k - 4) {
-      val ins = inAdj(cur); var j = 0
-      while (j < ins.length) {
-        val nxt = ins(j)
+      var j = inOff(cur); val end = inOff(cur + 1)
+      while (j < end) {
+        val e = inIds(j); val nxt = eSrc(e)
         if (!onStack(nxt)) {
-          onStack(nxt) = true; stkE += LocalGraph.enc(nxt, cur)
-          if (backward(nxt, l + 1, arrival, result)) return true
-          onStack(nxt) = false; stkE.remove(stkE.length - 1)
+          onStack(nxt) = true; stack(depth) = e; depth += 1
+          if (backward(nxt, l + 1, arrival)) return true
+          onStack(nxt) = false; depth -= 1
         }
         j += 1
       }
@@ -124,7 +140,7 @@ final class Verifier(
     false
   }
 
-  private def tryAddEdges(departure: Int, arrival: Int, result: java.util.HashSet[java.lang.Long]): Boolean = {
+  private def tryAddEdges(departure: Int, arrival: Int): Boolean = {
     val inDc  = boundary.inD(departure)
     val outAc = boundary.outA(arrival)
     // ∃ x ∈ In_D(dep) \ stack, y ∈ Out_A(arr) \ stack with x ≠ y.
@@ -136,8 +152,7 @@ final class Verifier(
         while (j < outAc.length) {
           val y = outAc(j)
           if (!onStack(y) && y != x) {
-            var e = 0
-            while (e < stkE.length) { result.add(stkE(e)); e += 1 }
+            var d = 0; while (d < depth) { inSpg(stack(d)) = true; d += 1 }
             return true
           }
           j += 1
@@ -151,42 +166,32 @@ final class Verifier(
 
 object Verifier {
 
-  /** §5.3: sort out-neighbors ascending by distance to the closest arrival
-    * (following SPGu edges forward); arrivals themselves (distance 0) sort by
-    * |Out_A| descending.
+  /** Stable counting sort of `ids` by `bucket(id)` in [0, nb): the bucket
+    * offsets (length nb+1) and the sorted ids.
     */
-  private[core] def orderedOut(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
-    // Distance from w to the nearest arrival along forward edges = BFS from
-    // the arrival set over reversed SPGu edges.
-    val distToArr = Bfs.nearest(ub.graph.inAdj, ub.n, b.arrivals.toArray, Bfs.Inf)
-    ub.graph.outAdj.map { a =>
-      if (a.length <= 1) a
-      else {
-        val copy = a.clone()
-        LocalGraph.sortBy(copy, w => key(distToArr(w), if (b.outA(w) == null) 0 else b.outA(w).length))
-        copy
-      }
-    }
+  private def group(ids: Array[Int], bucket: Array[Int], nb: Int): (Array[Int], Array[Int]) = {
+    val off = new Array[Int](nb + 1)
+    var i = 0; while (i < ids.length) { off(bucket(ids(i)) + 1) += 1; i += 1 }
+    var b = 0; while (b < nb) { off(b + 1) += off(b); b += 1 }
+    val next = java.util.Arrays.copyOf(off, nb)
+    val out  = new Array[Int](ids.length)
+    i = 0; while (i < ids.length) { b = bucket(ids(i)); out(next(b)) = ids(i); next(b) += 1; i += 1 }
+    (off, out)
   }
 
-  /** §5.3 symmetric: in-neighbors ascending by distance from the closest
-    * departure; departures sort by |In_D| descending.
+  /** Edge ids stably sorted by their endpoint w = `end(e)`: `dist(w)`
+    * ascending, then |`sets(w)`| descending (a set holds ≤ k vertices,
+    * Theorem 5.8); ties keep id order. Two stable counting passes, least
+    * significant first.
     */
-  private[core] def orderedIn(ub: UpperBoundGraph, b: Boundary): Array[Array[Int]] = {
-    val distFromDep = Bfs.nearest(ub.graph.outAdj, ub.n, b.departures.toArray, Bfs.Inf)
-    ub.graph.inAdj.map { a =>
-      if (a.length <= 1) a
-      else {
-        val copy = a.clone()
-        LocalGraph.sortBy(copy, w => key(distFromDep(w), if (b.inD(w) == null) 0 else b.inD(w).length))
-        copy
-      }
+  private def ranked(end: Array[Int], dist: Array[Int], sets: Array[Array[Int]], k: Int): Array[Int] = {
+    val sizeBucket, distBucket = new Array[Int](end.length)
+    var e = 0
+    while (e < end.length) {
+      sizeBucket(e) = k - (if (sets(end(e)) == null) 0 else sets(end(e)).length)
+      distBucket(e) = math.min(dist(end(e)), dist.length) // Inf sorts last
+      e += 1
     }
+    group(group(Array.range(0, end.length), sizeBucket, k + 1)._2, distBucket, dist.length + 1)._2
   }
-
-  /** Composite sort key: primary distance ascending, tie-break set size
-    * descending (only meaningful at distance 0, harmless elsewhere).
-    */
-  @inline private def key(dist: Int, setSize: Int): Long =
-    (dist.toLong << 32) | ((Int.MaxValue - setSize).toLong & 0xffffffffL)
 }

@@ -168,36 +168,31 @@ object DistEve {
         if (lab != EdgeLabel.Failing) Iterator((LocalGraph.enc(u, v), lab)) else Iterator.empty
       } else Iterator.empty
     }
-    val upper = labeled.collect()
+    // Triplets arrive in partition order; SPGu edge ids need them ascending.
+    val upper = labeled.collect().sortBy(_._1)
     val ub    = new UpperBoundGraph(ids.length, k, sC, tC, upper.map(_._1), upper.map(_._2))
 
     // Phase 3: verification. The upper-bound graph is query-local and small;
-    // broadcast it and verify undetermined edges in parallel shards.
-    val result: Set[Long] =
-      if (k <= 4) ub.edges.toSet
+    // broadcast it and verify undetermined edge ids in parallel shards. Each
+    // shard returns its SPG membership bitset (definite edges included).
+    val result: Seq[Long] =
+      if (k <= 4) ub.edges.toSeq
       else {
-        val boundary = Boundary.compute(ub)
-        val definite = ub.definiteEdges.toSet
-        val undetermined = ub.undeterminedEdges.toArray
+        val undetermined = ub.labels.indices.filter(ub.labels(_) == EdgeLabel.Undetermined)
         val bcUb = sc.broadcast(ub)
-        val bcBd = sc.broadcast(boundary)
-        val verified = sc
-          .parallelize(undetermined.toIndexedSeq, math.max(1, math.min(undetermined.length, sc.defaultParallelism)))
+        val bcBd = sc.broadcast(Boundary.compute(ub))
+        val shards = sc
+          .parallelize(undetermined, math.max(1, math.min(undetermined.length, sc.defaultParallelism)))
           .mapPartitions { it =>
-            val verifier = new Verifier(bcUb.value, bcBd.value, ordering = true, Deadline.None)
-            val acc = new java.util.HashSet[java.lang.Long]()
-            it.foreach { e => if (!acc.contains(e)) verifier.verifyEdge(e, acc) }
-            import scala.jdk.CollectionConverters._
-            acc.asScala.iterator.map(Long2long)
+            Iterator.single(new Verifier(bcUb.value, bcBd.value, ordering = true, Deadline.None).confirm(it.toArray))
           }
           .collect()
-          .toSet
-        definite ++ verified
+        ub.edges.indices.filter(e => shards.exists(_(e))).map(ub.edges(_))
       }
 
-    result.toSeq
+    // Dense ids are ranks of the VertexIds, so the output stays sorted.
+    result
       .map(e => (ids(LocalGraph.src(e)), ids(LocalGraph.dst(e))))
-      .sorted
       .toDF("src", "dst")
   }
 }

@@ -127,6 +127,14 @@ class EdgeLabelingSpec extends SparkSpec {
     assert(!set.contains(LocalGraph.enc(2, 0)), "edge t->s kept")
   }
 
+  test("an UpperBoundGraph whose edges are not strictly ascending is rejected") {
+    import LocalGraph.enc
+    val labels = Array(EdgeLabel.Definite, EdgeLabel.Definite)
+    for (edges <- Seq(Array(enc(0, 2), enc(0, 1)), Array(enc(1, 2), enc(0, 2)), Array(enc(0, 1), enc(0, 1))))
+      intercept[IllegalArgumentException](new UpperBoundGraph(3, 3, 0, 2, edges, labels))
+    assert(new UpperBoundGraph(3, 3, 0, 2, Array(enc(0, 1), enc(1, 2)), labels).numEdges == 2)
+  }
+
   test("In_D/Out_A are capped at k-2 entries (Theorem 5.8)") {
     // star into departure vertex 1: s->x_i->1 for many x_i, then 1->2->t
     val k = 6

@@ -34,6 +34,31 @@ class VerificationSpec extends SparkSpec {
     assert(r.edges.contains(LocalGraph.enc(i, j)) && r.edges.contains(LocalGraph.enc(j, h)))
   }
 
+  test("paper graph: Example 5.7 — verification counts its steps and the witnessed edges it skips") {
+    import PaperGraph._
+    val st = Eve.run(graph, s, t, 7).stats
+    assert(st.verifySteps > 0)
+    assert(st.witnessSkipped >= 1 && st.witnessSkipped <= st.undeterminedEdges)
+    val k4 = Eve.run(graph, s, t, 4).stats
+    assert(k4.verifySteps == 0 && k4.witnessSkipped == 0, "k<=4 skips verification")
+  }
+
+  for (k <- 3 to 8) {
+    test(s"EVE edges are strictly ascending and equal Verifier.verify() as a set (k=$k)") {
+      import scala.jdk.CollectionConverters._
+      for (seed <- 0 until 4) {
+        val g = GraphGen.uniform(18, 60, seed * 13 + k)
+        for ((s, t) <- GraphGen.queries(g, k, 3, seed)) {
+          val r = Eve.run(g, s, t, k)
+          assert((1 until r.edges.length).forall(i => r.edges(i - 1) < r.edges(i)), s"($s,$t)")
+          val ub = r.upperBound
+          val set = new Verifier(ub, Boundary.compute(ub), ordering = true, Deadline.None).verify()
+          assert(set.asScala.map(_.longValue).toSet == r.edges.toSet, s"($s,$t)")
+        }
+      }
+    }
+  }
+
   test("paper graph: Figure 1(c) — SPG_4(s,t)") {
     import PaperGraph._
     val r = Eve.run(graph, s, t, 4)

@@ -35,6 +35,20 @@ class DistEveSpec extends SparkSpec {
     }
   }
 
+  // The labeled edges are collected in partition order, so the upper bound
+  // arrives unsorted; SPGu edge ids and the sorted output need it sorted.
+  for (k <- Seq(5, 6)) {
+    test(s"upper bound collected from 4 partitions: DistEve equals local EVE, rows sorted (k=$k)") {
+      val g = GraphGen.uniform(40, 200, 70 + k)
+      val edges = SpgOracle.edgesDf(spark, g).repartition(4)
+      for ((s, t) <- GraphGen.queries(g, k, 2, seed = k)) {
+        val rows = DistEve.spg(spark, edges, s, t, k).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+        assert(rows == rows.sorted, s"($s,$t) rows out of (src, dst) order")
+        assert(rows.toSet == localSpg(g, s, t, k), s"($s,$t)")
+      }
+    }
+  }
+
   test("DistEve matches DuckDB on the paper graph") {
     import PaperGraph._
     val df = DistEve.spg(spark, SpgOracle.edgesDf(spark, graph), s, t, 6)
