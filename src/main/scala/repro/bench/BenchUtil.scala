@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.core.{Deadline, DeadlineExceeded}
-
 /** Shared knobs and formatting for the per-table benchmark harnesses.
   *
   * Scale is controlled by environment variables so the same code serves CI
@@ -16,24 +14,6 @@ object BenchUtil {
 
   def timeoutMs: Long =
     sys.env.get("REPRO_TIMEOUT_MS").map(_.toLong).getOrElse(2000L)
-
-  /** Wall-time a thunk in ms (Double). */
-  def timeMs[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, (System.nanoTime() - t0) / 1e6)
-  }
-
-  /** Run with a deadline; None means the deadline fired (reported as INF). */
-  def timed[A](timeoutMs: Long)(body: Long => A): (Option[A], Double) = {
-    val t0 = System.nanoTime()
-    try {
-      val a = body(Deadline.in(timeoutMs))
-      (Some(a), (System.nanoTime() - t0) / 1e6)
-    } catch {
-      case _: DeadlineExceeded => (None, (System.nanoTime() - t0) / 1e6)
-    }
-  }
 
   def fmtMs(ms: Double): String =
     if (ms < 0) "INF"

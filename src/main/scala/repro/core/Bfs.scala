@@ -21,8 +21,9 @@ import scala.collection.mutable
   *
   * All three return exact Δ(s,y) and Δ(y,t) for every y with
   * Δ(s,y)+Δ(y,t) ≤ k (property-tested), encoded as Int arrays with
-  * [[Bfs.Inf]] for "unknown / > k". Every search here, and the verifier's
-  * distance-to-boundary search, runs on one frontier step, `step`.
+  * [[Bfs.Inf]] for "unknown / > k". Every search over vertex adjacency runs
+  * on one frontier step, `step`; [[Bfs.nearest]] is the one search over an
+  * edge-id CSR, which the verifier's §5.3 distance-to-boundary ordering uses.
   */
 object Bfs {
 
@@ -81,19 +82,35 @@ object Bfs {
     while (d < k && f.nonEmpty) { f = step(adj, dist, f, d, within, limit); d += 1 }
   }
 
-  /** k-bounded BFS over `adj` from all `roots` at once: the distance to the
-    * nearest root, Inf beyond k.
+  /** k-bounded BFS from all `roots` at once over an edge-id CSR: vertex x's
+    * edges are `ids(off(x) until off(x+1))` and edge e leads to `end(e)`.
+    * The distance to the nearest root, Inf beyond k.
     */
-  def nearest(adj: Array[Array[Int]], n: Int, roots: Array[Int], k: Int): Array[Int] = {
-    val dist = unreached(n)
-    roots.foreach(dist(_) = 0)
-    expand(adj, dist, roots, 0, k)
+  def nearest(off: Array[Int], ids: Array[Int], end: Array[Int], n: Int, roots: Array[Int],
+              k: Int): Array[Int] = {
+    val dist  = unreached(n)
+    val queue = new Array[Int](n)
+    var head = 0; var tail = 0
+    roots.foreach { r => if (dist(r) != 0) { dist(r) = 0; queue(tail) = r; tail += 1 } }
+    while (head < tail) {
+      val x = queue(head); head += 1
+      var j = off(x)
+      while (dist(x) < k && j < off(x + 1)) {
+        val y = end(ids(j))
+        if (dist(y) == Inf) { dist(y) = dist(x) + 1; queue(tail) = y; tail += 1 }
+        j += 1
+      }
+    }
     dist
   }
 
   /** Plain k-bounded BFS over the given adjacency from `root`. */
-  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] =
-    nearest(adj, n, Array(root), k)
+  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] = {
+    val dist = unreached(n)
+    dist(root) = 0
+    expand(adj, dist, Array(root), 0, k)
+    dist
+  }
 
   /** Compute Δ(s,·) and Δ(·,t) bounded by k with the requested strategy. */
   def distances(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode): Dists =

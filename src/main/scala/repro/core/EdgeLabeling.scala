@@ -7,9 +7,9 @@ object EdgeLabel {
   val Definite: Byte     = 2
 }
 
-/** The upper-bound graph SPGu_k(s,t) (Definition 4.1) with per-edge labels,
-  * plus the adjacency needed by verification. An edge's position in the
-  * strictly ascending `edges` is its SPGu edge id, which verification uses.
+/** The upper-bound graph SPGu_k(s,t) (Definition 4.1) with per-edge labels.
+  * An edge's position in the strictly ascending `edges` is its SPGu edge id,
+  * which verification uses.
   */
 final class UpperBoundGraph(
     val n: Int,
@@ -29,11 +29,6 @@ final class UpperBoundGraph(
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Definite => e }
   def undeterminedEdges: Iterator[Long] =
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Undetermined => e }
-
-  /** SPGu as a graph over the same vertex ids (adjacency for boundary and
-    * verification).
-    */
-  lazy val graph: LocalGraph = LocalGraph.fromEncodedEdges(n, edges.clone())
 }
 
 /** Algorithm 2 — per-edge labeling against the essential-vertex indexes. */
@@ -133,39 +128,35 @@ final class Boundary(
 
 object Boundary {
 
-  def compute(ub: UpperBoundGraph): Boundary = {
-    val isD = new Array[Boolean](ub.n)
-    val isA = new Array[Boolean](ub.n)
-    // Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t distinct and
-    // e(s,x), e(x,v) ∈ SPGu.
-    val inD = validNeighbors(ub.graph.outAdj, ub.s, ub.t, ub.k, isD)
-    // Definition 5.3: v ∈ A iff ∃ out-neighbor y with v,y,s,t distinct and
-    // e(v,y), e(y,t) ∈ SPGu.
-    val outA = validNeighbors(ub.graph.inAdj, ub.t, ub.s, ub.k, isA)
-    new Boundary(isD, isA, inD, outA)
-  }
-
-  /** Each walk root → x → v over `adj` with root, x, v, `other` distinct marks
-    * v and records x, up to max(1, k-2) per v (Theorem 5.8); pairs are unique.
+  /** Two passes over the ascending `ub.edges`: mark s's out- and t's
+    * in-neighbors, then file each e(x,v) under In_D(v) and Out_A(x). So every
+    * list ascends and keeps its first max(1, k-2) entries (Theorem 5.8).
     */
-  private def validNeighbors(adj: Array[Array[Int]], root: Int, other: Int, k: Int,
-                             mark: Array[Boolean]): Array[Array[Int]] = {
-    val cap   = math.max(1, k - 2)
-    val lists = new Array[Array[Int]](adj.length)
-    val size  = new Array[Int](adj.length)
-    val first = adj(root)
-    for (i <- first.indices) {
-      val x = first(i)
-      if (x != other) for (j <- adj(x).indices) {
-        val v = adj(x)(j)
-        if (v != root && v != other && v != x) {
-          mark(v) = true
-          if (lists(v) == null) lists(v) = new Array[Int](cap)
-          if (size(v) < cap) { lists(v)(size(v)) = x; size(v) += 1 }
-        }
-      }
+  def compute(ub: UpperBoundGraph): Boundary = {
+    import LocalGraph.{dst, src}
+    val (s, t) = (ub.s, ub.t)
+    val cap = math.max(1, ub.k - 2)
+    val fromS, intoT = new Array[Boolean](ub.n)
+    for (i <- ub.edges.indices) {
+      val e = ub.edges(i)
+      if (src(e) == s) fromS(dst(e)) = true
+      if (dst(e) == t) intoT(src(e)) = true
     }
-    for (v <- lists.indices) if (lists(v) != null) lists(v) = java.util.Arrays.copyOf(lists(v), size(v))
-    lists
+    val inD, outA = new Array[Array[Int]](ub.n)
+    def add(lists: Array[Array[Int]], v: Int, x: Int): Unit = {
+      val l = lists(v)
+      if (l == null) lists(v) = Array(x)
+      else if (l.length < cap) { lists(v) = java.util.Arrays.copyOf(l, l.length + 1); lists(v)(l.length) = x }
+    }
+    for (i <- ub.edges.indices) {
+      val x = src(ub.edges(i)); val v = dst(ub.edges(i))
+      // Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t distinct and
+      // e(s,x), e(x,v) ∈ SPGu.
+      if (fromS(x) && x != t && v != s && v != t && v != x) add(inD, v, x)
+      // Definition 5.3: x ∈ A iff ∃ out-neighbor v with x,v,s,t distinct and
+      // e(x,v), e(v,t) ∈ SPGu.
+      if (intoT(v) && v != s && x != t && x != s && x != v) add(outA, x, v)
+    }
+    new Boundary(inD.map(_ != null), outA.map(_ != null), inD, outA)
   }
 }

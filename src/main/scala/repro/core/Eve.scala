@@ -32,6 +32,8 @@ final case class EveStats(
     verifySteps: Long = 0,
     /** Undetermined edges not searched: an earlier witness path confirmed them. */
     witnessSkipped: Int = 0,
+    /** The most DFS frames any single undetermined edge's search took. */
+    verifyMaxFrames: Long = 0,
 ) {
   def totalNs: Long = distNs + propagateNs + labelNs + verifyNs
 }
@@ -113,6 +115,7 @@ object Eve {
         resultEdges = edges.length,
         verifySteps = if (verifier == null) 0 else verifier.steps,
         witnessSkipped = if (verifier == null) 0 else verifier.skipped,
+        verifyMaxFrames = if (verifier == null) 0 else verifier.maxSteps,
       ),
     )
   }

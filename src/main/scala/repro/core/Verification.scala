@@ -42,27 +42,31 @@ final class Verifier(
     inSpg(e) = ub.labels(e) == EdgeLabel.Definite
   }
 
-  // Edge ids by source / by target (CSR), ascending within a vertex like
-  // ub.graph's neighbors. §5.3 orders out-edges by the head's distance to
-  // the nearest arrival, arrivals by |Out_A| descending; in-edges by the
-  // tail's distance from the nearest departure, departures by |In_D|.
-  private val (outOff, outIds) = Verifier.group(
-    if (!ordering) Array.range(0, m)
-    else Verifier.ranked(eDst, Bfs.nearest(ub.graph.inAdj, ub.n, boundary.arrivals.toArray, Bfs.Inf),
-      boundary.outA, k), eSrc, ub.n)
-  private val (inOff, inIds) = Verifier.group(
-    if (!ordering) Array.range(0, m)
-    else Verifier.ranked(eSrc, Bfs.nearest(ub.graph.outAdj, ub.n, boundary.departures.toArray, Bfs.Inf),
-      boundary.inD, k), eDst, ub.n)
+  // Edge ids by source / by target (CSR), ascending within a vertex: SPGu's
+  // only adjacency. §5.3 reorders each vertex's ids, so offsets stay: out-edges
+  // by the head's distance to the nearest arrival (a BFS over this CSR),
+  // arrivals by |Out_A| descending; in-edges by the tail's distance from the
+  // nearest departure, departures by |In_D| descending.
+  private val (outOff, outIds) = Verifier.group(Array.range(0, m), eSrc, ub.n)
+  private val (inOff, inIds)   = Verifier.group(Array.range(0, m), eDst, ub.n)
+  if (ordering) {
+    val toArrival     = Bfs.nearest(inOff, inIds, eSrc, ub.n, boundary.arrivals.toArray, Bfs.Inf)
+    val fromDeparture = Bfs.nearest(outOff, outIds, eDst, ub.n, boundary.departures.toArray, Bfs.Inf)
+    Verifier.group(Verifier.ranked(eDst, toArrival, boundary.outA, k), eSrc, ub.n)._2.copyToArray(outIds)
+    Verifier.group(Verifier.ranked(eSrc, fromDeparture, boundary.inD, k), eDst, ub.n)._2.copyToArray(inIds)
+  }
 
   private val onStack = new Array[Boolean](ub.n)
   private val stack   = new Array[Int](k) // witness path edge ids; q* has ≤ k-4
   private var depth   = 0
   private var frames  = 0L
   private var skips   = 0
+  private var widest  = 0L
 
   /** DFS frames entered so far. */
   def steps: Long = frames
+  /** The most DFS frames one searched edge took. */
+  def maxSteps: Long = widest
   /** Undetermined edges skipped because an earlier witness path confirmed them. */
   def skipped: Int = skips
 
@@ -94,7 +98,9 @@ final class Verifier(
   private def search(e: Int): Unit = {
     onStack(eSrc(e)) = true; onStack(eDst(e)) = true; onStack(ub.s) = true; onStack(ub.t) = true
     stack(0) = e; depth = 1
+    val before = frames
     forward(eDst(e), 1, eSrc(e))
+    widest = math.max(widest, frames - before)
     // On success the early returns skip the per-frame pops, so clear every
     // vertex the surviving stack touched — a stale mark would wrongly block
     // later edges' searches.

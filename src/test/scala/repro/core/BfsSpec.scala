@@ -47,7 +47,12 @@ class BfsSpec extends SparkSpec {
       val g     = GraphGen.powerLaw(40, 120, alpha = 0.9, seed)
       val roots = Array(seed % g.n, (seed + 11) % g.n, (seed + 23) % g.n)
       val k     = 3 + seed % 3
-      val d     = Bfs.nearest(g.outAdj, g.n, roots, k)
+      // Edge-id CSR over g's out-edges; slot j holds edge id m-1-j, so the
+      // search must follow ids rather than slots.
+      val flat  = g.outAdj.flatten; val m = flat.length
+      val off   = g.outAdj.scanLeft(0)(_ + _.length)
+      val end   = Array.tabulate(m)(e => flat(m - 1 - e))
+      val d     = Bfs.nearest(off, Array.tabulate(m)(m - 1 - _), end, g.n, roots, k)
       for (y <- 0 until g.n)
         assert(d(y) == roots.map(r => queueBfs(g.outAdj, r, k)(y)).min, s"y=$y")
     }

@@ -135,6 +135,50 @@ class EdgeLabelingSpec extends SparkSpec {
     assert(new UpperBoundGraph(3, 3, 0, 2, Array(enc(0, 1), enc(1, 2)), labels).numEdges == 2)
   }
 
+  /** Definitions 5.1–5.4 read off a hash set of SPGu edges: v's valid
+    * in-neighbours x (e(s,x), e(x,v) ∈ SPGu; x, v, s, t distinct) and valid
+    * out-neighbours y (e(v,y), e(y,t) ∈ SPGu; v, y, s, t distinct), ascending.
+    */
+  private def bruteBoundary(ub: UpperBoundGraph): (Array[IndexedSeq[Int]], Array[IndexedSeq[Int]]) = {
+    val set = new java.util.HashSet[java.lang.Long]()
+    ub.edges.foreach(e => set.add(e))
+    def has(u: Int, v: Int) = set.contains(LocalGraph.enc(u, v))
+    val (s, t) = (ub.s, ub.t)
+    def distinct(a: Int, b: Int) = Set(a, b, s, t).size == 4
+    val validIn  = Array.tabulate(ub.n)(v => (0 until ub.n).filter(x => distinct(x, v) && has(s, x) && has(x, v)))
+    val validOut = Array.tabulate(ub.n)(v => (0 until ub.n).filter(y => distinct(v, y) && has(v, y) && has(y, t)))
+    (validIn, validOut)
+  }
+
+  for ((kind, gen) <- Seq[(String, Int => LocalGraph)](
+         "uniform"   -> (seed => GraphGen.uniform(24, 360, seed)),
+         "power-law" -> (seed => GraphGen.powerLaw(40, 200, alpha = 0.9, seed)));
+       k <- 5 to 8) {
+    test(s"Boundary equals a brute-force reading of Definitions 5.1-5.4 ($kind, k=$k)") {
+      val cap = math.max(1, k - 2)
+      var capped = 0
+      for (seed <- 0 until 4; g = gen(seed * 19 + k); (s, t) <- GraphGen.queries(g, k, 3, seed)) {
+        val ub = labelAll(g, s, t, k)
+        val bd = Boundary.compute(ub)
+        val (validIn, validOut) = bruteBoundary(ub)
+        for (v <- 0 until ub.n) {
+          val ctx = s"seed=$seed ($s,$t) v=$v"
+          assert(bd.isDeparture(v) == validIn(v).nonEmpty, ctx)
+          assert(bd.isArrival(v) == validOut(v).nonEmpty, ctx)
+          for ((got, valid) <- Seq(bd.inD(v) -> validIn(v), bd.outA(v) -> validOut(v))) {
+            if (valid.isEmpty) assert(got == null, ctx)
+            else {
+              assert((1 until got.length).forall(i => got(i - 1) < got(i)), s"$ctx not ascending")
+              assert(got.toSeq == valid.take(cap), ctx)
+              if (valid.length > cap) capped += 1
+            }
+          }
+        }
+      }
+      assert(capped > 0, "no In_D/Out_A list reached the Theorem 5.8 cap")
+    }
+  }
+
   test("In_D/Out_A are capped at k-2 entries (Theorem 5.8)") {
     // star into departure vertex 1: s->x_i->1 for many x_i, then 1->2->t
     val k = 6

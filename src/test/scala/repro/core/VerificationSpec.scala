@@ -43,6 +43,13 @@ class VerificationSpec extends SparkSpec {
     assert(k4.verifySteps == 0 && k4.witnessSkipped == 0, "k<=4 skips verification")
   }
 
+  test("paper graph: the most frames one edge's search took is at most all frames") {
+    import PaperGraph._
+    val st = Eve.run(graph, s, t, 7).stats
+    assert(st.verifyMaxFrames > 0 && st.verifyMaxFrames <= st.verifySteps)
+    assert(Eve.run(graph, s, t, 4).stats.verifyMaxFrames == 0, "k<=4 skips verification")
+  }
+
   for (k <- 3 to 8) {
     test(s"EVE edges are strictly ascending and equal Verifier.verify() as a set (k=$k)") {
       import scala.jdk.CollectionConverters._
@@ -108,6 +115,19 @@ class VerificationSpec extends SparkSpec {
       val expected = results.head._2
       for ((name, r) <- results.tail)
         assert(r == expected, s"config $name diverges at k=$k ($s,$t)")
+    }
+  }
+
+  // Σ verifySteps, Σ witnessSkipped and Σ |SPG| over 12 queries: the §5.3
+  // search order decides the first two, so they pin it, not just the answer.
+  for ((name, k, steps, skipped, spg) <- Seq(
+         ("wn", 6, 4241993L, 46591L, 643866L),
+         ("ye", 7, 1302046L, 16554L, 394250L))) {
+    test(s"verification work is pinned on $name (k=$k)") {
+      val g  = GraphGen.dataset(name).build()
+      val st = GraphGen.queries(g, k, 12, seed = 77).map { case (s, t) => Eve.run(g, s, t, k).stats }
+      assert((st.map(_.verifySteps).sum, st.map(_.witnessSkipped.toLong).sum, st.map(_.resultEdges.toLong).sum) ==
+        ((steps, skipped, spg)))
     }
   }
 
