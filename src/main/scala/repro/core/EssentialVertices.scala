@@ -81,15 +81,16 @@ object EssentialVertices {
           // line 6 with the forward-looking pruning predicate folded in;
           // `distToOther(y) <= k - l` avoids Int overflow on Inf.
           if (y != source && y != excluded && (!pruning || distToOther(y) <= k - l)) {
-            val contrib = VSet.add(evx, y)
+            // EV ∩ (EV_{l-1}(s,x) ∪ {y}); keepIn returns its first argument
+            // when nothing is dropped, so unchanged sets stay shared.
             if (cur(y) == null) {
               touched += y
               // Seed with the inherited set so stale in-neighbor
               // contributions (folded into EV_{l-1}) are kept.
               val base = prev(y)
-              cur(y) = if (base == null) contrib else VSet.intersect(base, contrib)
+              cur(y) = if (base == null) VSet.add(evx, y) else VSet.keepIn(base, evx, y)
             } else {
-              cur(y) = VSet.intersect(cur(y), contrib)
+              cur(y) = VSet.keepIn(cur(y), evx, y)
             }
           }
           j += 1
@@ -120,8 +121,8 @@ object EssentialVertices {
       var ti = 0
       while (ti < touched.length) {
         val y = touched(ti)
-        val changed = (prev(y) == null) || (cur(y).length != prev(y).length) ||
-          !java.util.Arrays.equals(cur(y), prev(y))
+        val changed = (prev(y) == null) || ((cur(y) ne prev(y)) &&
+          !java.util.Arrays.equals(cur(y), prev(y)))
         if (changed) next += y
         ti += 1
       }

@@ -179,6 +179,27 @@ object VSet {
     }
   }
 
+  /** a ∩ (b ∪ {y}) preserving sort order; returns `a` itself when nothing
+    * is dropped. Counts first, so it allocates only when the set shrinks.
+    */
+  def keepIn(a: Array[Int], b: Array[Int], y: Int): Array[Int] = {
+    val kept = keptInto(a, b, y, null)
+    if (kept == a.length) a
+    else { val out = new Array[Int](kept); keptInto(a, b, y, out); out }
+  }
+
+  /** Count the elements of a ∩ (b ∪ {y}), writing them to `out` unless null. */
+  private def keptInto(a: Array[Int], b: Array[Int], y: Int, out: Array[Int]): Int = {
+    var i = 0; var j = 0; var c = 0
+    while (i < a.length) {
+      val x = a(i)
+      while (j < b.length && b(j) < x) j += 1
+      if (x == y || (j < b.length && b(j) == x)) { if (out != null) out(c) = x; c += 1 }
+      i += 1
+    }
+    c
+  }
+
   def contains(a: Array[Int], x: Int): Boolean =
     java.util.Arrays.binarySearch(a, x) >= 0
 

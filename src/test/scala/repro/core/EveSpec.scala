@@ -102,4 +102,78 @@ class EveSpec extends SparkSpec {
     assert(!r.upperBound.edges.contains(LocalGraph.enc(b, j)))
     assert(r.upperBound.edges.length == r.upperBound.labels.length)
   }
+
+  test("paper graph: corridor counters match a hand count of G^k_st") {
+    import PaperGraph._
+    // k=4: i and j have Δ(s,·)+Δ(·,t) = 6, so 6 vertices remain; the 8
+    // window edges are exactly Figure 1(c)'s SPG_4.
+    val k4 = Eve.run(graph, s, t, 4).stats
+    assert(k4.corridorVertices == 6 && k4.corridorEdges == 8)
+    // k=7: every vertex and all 14 edges lie in the window.
+    val k7 = Eve.run(graph, s, t, 7).stats
+    assert(k7.corridorVertices == 8 && k7.corridorEdges == 14)
+    val naive = Eve.run(graph, s, t, 7, EveConfig.Naive).stats
+    assert(naive.corridorVertices == 0 && naive.corridorEdges == 0, "no corridor without pruning")
+  }
+
+  /** `Eve.run` against a replica of its layer calls on the global graph: the
+    * configuration's distances, both propagations, Algorithm 2 and, for k > 4,
+    * the verifier. Whatever graph `Eve.run` runs its phases on, the SPG, the
+    * upper bound and the work counters must come out identical.
+    */
+
+    private final class Replica(val edges: Array[Long], val ub: UpperBoundGraph, val definite: Int,
+                                val steps: Long, val skipped: Int, val maxFrames: Long)
+
+    private def replica(g: LocalGraph, s: Int, t: Int, k: Int, cfg: EveConfig): Replica = {
+      val d = Bfs.distances(g, s, t, k, cfg.search)
+      if (d.fromS(t) > k)
+        return new Replica(Array.emptyLongArray, null, 0, 0, 0, 0)
+      val evF = EssentialVertices.propagate(g, s, t, k, d.fromAll, cfg.pruning)
+      val evB = EssentialVertices.propagate(g.reverse, t, s, k, d.toAll, cfg.pruning)
+      val ub  = EdgeLabeling.upperBound(g, s, t, k, d, evF, evB)
+      val definite = ub.labels.count(_ == EdgeLabel.Definite)
+      if (k <= 4) new Replica(ub.edges, ub, definite, 0, 0, 0)
+      else {
+        val v = new Verifier(ub, Boundary.compute(ub), cfg.ordering, Deadline.None)
+        val edges = v.spgEdges()
+        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps)
+      }
+    }
+
+    private val configs = Seq(
+      "default" -> EveConfig.Default,
+      "+FLP"    -> EveConfig(pruning = true, search = Bfs.SearchMode.Single, ordering = false),
+      "+BiDir"  -> EveConfig(pruning = true, search = Bfs.SearchMode.BiDir, ordering = false),
+      "naive"   -> EveConfig.Naive,
+    )
+
+    private val graphs = Seq(
+      "uniform"   -> GraphGen.uniform(120, 330, 7),
+      "power-law" -> GraphGen.powerLaw(300, 900, alpha = 0.9, seed = 11),
+    )
+
+    for ((cfgName, cfg) <- configs; (gName, g) <- graphs; k <- 2 to 8) {
+      test(s"Eve.run equals the global-graph layer replica ($cfgName, $gName, k=$k)") {
+        // Reachable queries, plus pairs that k may not connect.
+        val queries = GraphGen.queries(g, k, 6, seed = k * 31L) ++ Seq((1, g.n - 2), (g.n - 1, 0))
+        for ((s, t) <- queries) {
+          val r   = Eve.run(g, s, t, k, cfg)
+          val ref = replica(g, s, t, k, cfg)
+          val q   = s"($s,$t)"
+          assert(r.edges.sameElements(ref.edges), q)
+          if (ref.ub == null) assert(r.upperBound.numEdges == 0, q)
+          else {
+            assert(r.upperBound.edges.sameElements(ref.ub.edges), q)
+            assert(r.upperBound.labels.sameElements(ref.ub.labels), q)
+          }
+          val st = r.stats
+          assert(st.upperEdges == (if (ref.ub == null) 0 else ref.ub.numEdges), q)
+          assert(st.definiteEdges == ref.definite, q)
+          assert(st.verifySteps == ref.steps, q)
+          assert(st.witnessSkipped == ref.skipped, q)
+          assert(st.verifyMaxFrames == ref.maxFrames, q)
+        }
+      }
+    }
 }

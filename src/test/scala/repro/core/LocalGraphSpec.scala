@@ -83,4 +83,27 @@ class LocalGraphSpec extends SparkSpec {
     assert(VSet.contains(Array(1, 4, 9), 9))
     assert(!VSet.contains(Array(1, 4, 9), 5))
   }
+
+  test("VSet.keepIn is a ∩ (b ∪ {y}) and returns a itself when nothing is dropped") {
+    assert(VSet.keepIn(Array(1, 3, 5), Array(3, 7), 5).toSeq == Seq(3, 5))
+    val a = Array(2, 4)
+    assert(VSet.keepIn(a, Array(1, 4), 2) eq a)
+    assert(VSet.keepIn(a, Array.emptyIntArray, 9).isEmpty)
+  }
+
+  test("VSet.keepIn property: equals intersect(a, add(b, y)), by reference when unchanged") {
+    import org.scalacheck.{Gen, Prop, Test}
+    val set  = Gen.containerOf[Set, Int](Gen.choose(0, 12)).map(_.toArray.sorted)
+    // a drawn from b ∪ {y} half the time, so the nothing-dropped case is common.
+    val args = for {
+      b <- set; y <- Gen.choose(0, 12)
+      a <- Gen.oneOf(set, Gen.someOf(b.toSeq :+ y).map(_.distinct.toArray.sorted))
+    } yield (a, b, y)
+    val prop = Prop.forAll(args) { case (a, b, y) =>
+      val r = VSet.keepIn(a, b, y)
+      r.sameElements(VSet.intersect(a, VSet.add(b, y))) && ((r eq a) == (r.length == a.length))
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(res.passed, res.status)
+  }
 }
