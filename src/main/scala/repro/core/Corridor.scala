@@ -67,8 +67,11 @@ object Corridor {
       outAdj(i) = if (cnt == 0) Array.emptyIntArray else java.util.Arrays.copyOf(row, cnt)
       i += 1
     }
-    // In-lists filled in ascending source order, so each is sorted.
-    val inAdj = Array.tabulate(c)(v => if (inDeg(v) == 0) Array.emptyIntArray else new Array[Int](inDeg(v)))
+    // In-lists filled in ascending source order, so each is sorted. A loop,
+    // not Array.tabulate, for the reason given in EssentialVertices.propagate.
+    val inAdj = new Array[Array[Int]](c)
+    i = 0
+    while (i < c) { inAdj(i) = if (inDeg(i) == 0) Array.emptyIntArray else new Array[Int](inDeg(i)); i += 1 }
     java.util.Arrays.fill(inDeg, 0)
     i = 0
     while (i < c) {

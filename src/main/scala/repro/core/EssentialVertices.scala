@@ -53,7 +53,11 @@ object EssentialVertices {
   ): EvIndex = {
     val n = g.n
     val lastLayer = math.max(0, k - 1)
-    val layers = Array.ofDim[Array[Array[Int]]](lastLayer + 1)
+    // `new`, not `Array.ofDim`: the ClassTag lookup behind ofDim goes through
+    // a ClassValue, and C2 code that inlines it is thrown away once Spark
+    // loads another ClassValue subclass, leaving propagate interpreted until
+    // it is recompiled mid-batch.
+    val layers = new Array[Array[Array[Int]]](lastLayer + 1)
     layers(0) = new Array[Array[Int]](n)
     layers(0)(source) = Array(source)
 
