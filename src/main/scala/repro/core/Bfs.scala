@@ -22,8 +22,11 @@ import scala.collection.mutable
   * All three return exact Δ(s,y) and Δ(y,t) for every y with
   * Δ(s,y)+Δ(y,t) ≤ k (property-tested), encoded as Int arrays with
   * [[Bfs.Inf]] for "unknown / > k". Every search over vertex adjacency runs
-  * on one frontier step, `step`; [[Bfs.nearest]] is the one search over an
-  * edge-id CSR, which the verifier's §5.3 distance-to-boundary ordering uses.
+  * on one level-synchronous queue kernel over a pooled [[Bfs.Scratch]], so a
+  * query touches only the vertices it reaches; [[Bfs.distances]] and
+  * [[Bfs.bounded]] copy its arrays out. [[Bfs.nearest]] is the one search
+  * over an edge-id CSR, which the verifier's §5.3 distance-to-boundary
+  * ordering uses.
   */
 object Bfs {
 
@@ -52,34 +55,142 @@ object Bfs {
     dist
   }
 
-  /** One BFS level: every still-unreached neighbor y over `adj` of a
-    * `frontier` vertex (all at distance `depth`) gets distance depth+1 —
-    * when `within` is given, only if `within(y) ≤ limit`. Returns those
-    * vertices, the next frontier.
+  /** One side of a search: distances over all n vertices and the side's
+    * visit list, which is also its BFS queue. Level `depth`, the frontier,
+    * is `queue(head until tail)`; `queue(0 until reached)` is every vertex
+    * the side reached, in order of distance.
     */
-  private def step(adj: Array[Array[Int]], dist: Array[Int], frontier: Array[Int], depth: Int,
-                   within: Array[Int], limit: Int): Array[Int] = {
-    val next = new mutable.ArrayBuilder.ofInt
-    var i = 0
-    while (i < frontier.length) {
-      val a = adj(frontier(i)); var j = 0
-      while (j < a.length) {
-        val y = a(j)
-        if (dist(y) == Inf && (within == null || within(y) <= limit)) { dist(y) = depth + 1; next += y }
-        j += 1
-      }
-      i += 1
+  final class Side private[Bfs] (n: Int) {
+    val dist: Array[Int] = unreached(n)
+    private[core] var queue = new Array[Int](256)
+    private[Bfs] var head, tail, depth = 0
+
+    def reached: Int = tail
+
+    private[Bfs] def visit(y: Int, d: Int): Unit = {
+      if (tail == queue.length) queue = java.util.Arrays.copyOf(queue, 2 * tail)
+      queue(tail) = y; tail += 1
+      dist(y) = d
     }
-    next.result()
+
+    /** Levels until depth k or an empty frontier: every still-unreached
+      * neighbor y over `adj` of a frontier vertex gets distance depth+1, when
+      * `within` is given only if `within(y) ≤ limit`. Checks `deadline`
+      * after each level.
+      */
+    private[Bfs] def expand(adj: Array[Array[Int]], k: Int, within: Array[Int], limit: Int, deadline: Long,
+                            levels: Int = Int.MaxValue): Unit = {
+      var l = 0
+      while (l < levels && depth < k && head < tail) {
+        val end = tail; var i = head
+        while (i < end) {
+          val a = adj(queue(i)); var j = 0
+          while (j < a.length) {
+            val y = a(j)
+            if (dist(y) == Inf && (within == null || within(y) <= limit)) visit(y, depth + 1)
+            j += 1
+          }
+          i += 1
+        }
+        head = end; depth += 1; l += 1
+        Deadline.check(deadline)
+      }
+    }
+
+    /** Every visited entry back to Inf: O(reached), not O(n). */
+    private[Bfs] def reset(): Unit = {
+      var i = 0
+      while (i < tail) { dist(queue(i)) = Inf; i += 1 }
+      head = 0; tail = 0; depth = 0
+    }
   }
 
-  /** Repeat [[step]] from `frontier` at `depth` until depth k or an empty
-    * frontier.
+  /** Reusable state of one search on graphs of `n` vertices. Outside a
+    * search every entry of `fwd.dist` and `bwd.dist` is Inf; [[release]]
+    * restores that through the two visit lists alone, so a search costs
+    * O(reached), not O(n).
     */
-  private def expand(adj: Array[Array[Int]], dist: Array[Int], frontier: Array[Int], depth: Int, k: Int,
-                     within: Array[Int] = null, limit: Int = Inf): Unit = {
-    var f = frontier; var d = depth
-    while (d < k && f.nonEmpty) { f = step(adj, dist, f, d, within, limit); d += 1 }
+  final class Scratch private (val n: Int) {
+    /** Δ(s,·) from s over G; Δ(·,t) from t over G^r. */
+    val fwd = new Side(n)
+    val bwd = new Side(n)
+
+    /** Bounded distances for query (s, t) with the requested strategy (see
+      * the class doc for the guarantee). Checks `deadline` once per level.
+      */
+    def search(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode, deadline: Long): Unit = {
+      fwd.visit(s, 0); bwd.visit(t, 0)
+      val bidirectional = mode != SearchMode.Single
+      // Bi-directional phase 1: split the total depth budget k between the sides.
+      while (bidirectional && fwd.depth + bwd.depth < k && (fwd.head < fwd.tail || bwd.head < bwd.tail)) {
+        val sizeF = fwd.tail - fwd.head; val sizeB = bwd.tail - bwd.head
+        val forward =
+          if (sizeF == 0) false
+          else if (sizeB == 0) true
+          else if (mode == SearchMode.Adaptive) sizeF <= sizeB
+          else fwd.depth <= bwd.depth // strict alternation, forward first (⌈k/2⌉ / ⌊k/2⌋)
+        if (forward) fwd.expand(g.outAdj, k, null, Inf, deadline, levels = 1)
+        else bwd.expand(g.inAdj, k, null, Inf, deadline, levels = 1)
+      }
+      // Each side continues to depth k; after phase 1, restricted to the
+      // vertices the opposite side explored in it. The forward continuation
+      // never writes bwd.dist, so every finite entry ≤ its depth is a phase-1
+      // visit; it only assigns forward depths above depthF, so
+      // fwd.dist(y) ≤ depthF still selects the phase-1 forward visits.
+      val depthF = fwd.depth
+      fwd.expand(g.outAdj, k, if (bidirectional) bwd.dist else null, bwd.depth, deadline)
+      bwd.expand(g.inAdj, k, if (bidirectional) fwd.dist else null, depthF, deadline)
+    }
+
+    /** Copies of both distance arrays, independent of this scratch. */
+    def dists: Dists = Dists(java.util.Arrays.copyOf(fwd.dist, n), java.util.Arrays.copyOf(bwd.dist, n))
+
+    /** The thread that released this scratch last. */
+    private var owner: Thread = null
+
+    /** Reset and return to the pool; the caller must not use it afterwards. */
+    def release(): Unit = {
+      fwd.reset(); bwd.reset()
+      owner = Thread.currentThread()
+      Scratch.giveBack(this)
+    }
+  }
+
+  object Scratch {
+    // Idle scratches, all for graphs of `idleN` vertices (returning one of
+    // another size empties the pool), as many as ever ran at once, not one
+    // per thread. A borrow prefers the scratch its own thread released:
+    // entries written on another core cost a cache miss per line the next
+    // search touches. Guarded by `idle`.
+    private val idle = new java.util.ArrayList[Scratch]()
+    private var idleN = -1
+
+    /** A clean scratch for graphs of `n` vertices; [[Scratch.release]] it in
+      * a `finally`.
+      */
+    def borrow(n: Int): Scratch = {
+      val me = Thread.currentThread()
+      val pooled = idle.synchronized {
+        var i = idle.size - 1
+        while (i > 0 && (idle.get(i).owner ne me)) i -= 1
+        if (i >= 0 && idle.get(i).n == n) idle.remove(i) else null
+      }
+      if (pooled == null) new Scratch(n) else pooled
+    }
+
+    private def giveBack(sc: Scratch): Unit = idle.synchronized {
+      if (sc.n != idleN) { idle.clear(); idleN = sc.n }
+      idle.add(sc)
+    }
+
+    /** Drop every idle scratch. */
+    private[core] def clear(): Unit = idle.synchronized(idle.clear())
+  }
+
+  /** Run `body` on a borrowed scratch for `n` vertices and release it. */
+  def withScratch[A](n: Int)(body: Scratch => A): A = {
+    val sc = Scratch.borrow(n)
+    try body(sc) finally sc.release()
   }
 
   /** k-bounded BFS from all `roots` at once over an edge-id CSR: vertex x's
@@ -105,52 +216,16 @@ object Bfs {
   }
 
   /** Plain k-bounded BFS over the given adjacency from `root`. */
-  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] = {
-    val dist = unreached(n)
-    dist(root) = 0
-    expand(adj, dist, Array(root), 0, k)
-    dist
-  }
+  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] =
+    withScratch(n) { sc =>
+      sc.fwd.visit(root, 0)
+      sc.fwd.expand(adj, k, null, Inf, Deadline.None)
+      java.util.Arrays.copyOf(sc.fwd.dist, n)
+    }
 
   /** Compute Δ(s,·) and Δ(·,t) bounded by k with the requested strategy. */
   def distances(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode): Dists =
-    mode match {
-      case SearchMode.Single =>
-        Dists(bounded(g.outAdj, g.n, s, k), bounded(g.inAdj, g.n, t, k))
-      case SearchMode.BiDir    => bidirectional(g, s, t, k, adaptive = false)
-      case SearchMode.Adaptive => bidirectional(g, s, t, k, adaptive = true)
-    }
-
-  /** Bi-directional phase 1 (total depth k split between the two sides),
-    * then restricted continuations (see the class doc for the guarantee).
-    */
-  private def bidirectional(g: LocalGraph, s: Int, t: Int, k: Int, adaptive: Boolean): Dists = {
-    val dF = unreached(g.n); dF(s) = 0
-    val dB = unreached(g.n); dB(t) = 0
-    var fF = Array(s)
-    var fB = Array(t)
-    var depthF = 0
-    var depthB = 0
-
-    // Phase 1: split the total depth budget k between the two sides.
-    while (depthF + depthB < k && (fF.nonEmpty || fB.nonEmpty)) {
-      val forward =
-        if (fF.isEmpty) false
-        else if (fB.isEmpty) true
-        else if (adaptive) fF.length <= fB.length
-        else depthF <= depthB // strict alternation, forward first (⌈k/2⌉ / ⌊k/2⌋)
-      if (forward) { fF = step(g.outAdj, dF, fF, depthF, null, Inf); depthF += 1 }
-      else { fB = step(g.inAdj, dB, fB, depthB, null, Inf); depthB += 1 }
-    }
-    // Phase 2: each side continues to depth k, restricted to the vertices
-    // the opposite side explored in phase 1. The forward continuation never
-    // writes dB, so every finite dB(y) ≤ depthB is a phase-1 visit; it only
-    // assigns forward depths above depthF, so dF(y) ≤ depthF still selects
-    // the phase-1 forward visits for the backward continuation.
-    expand(g.outAdj, dF, fF, depthF, k, within = dB, limit = depthB)
-    expand(g.inAdj, dB, fB, depthB, k, within = dF, limit = depthF)
-    Dists(dF, dB)
-  }
+    withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); sc.dists }
 
   /** The G^k_st window: e(u,v) lies on some ≤k-hop s-t walk iff
     * Δ(s,u)+1+Δ(v,t) ≤ k. Written so that Inf operands cannot overflow.

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** The corridor G^k_st of one query in compact local ids (§3.3): the
   * vertices y with Δ(s,y)+Δ(y,t) ≤ k and the window edges between them.
   *
@@ -37,31 +35,39 @@ final class Corridor private (
 
 object Corridor {
 
-  /** The corridor of the query whose bounded distances are `d`. Only
-    * corridor vertices need exact distances, which every [[Bfs.SearchMode]]
-    * guarantees; elsewhere the distances only over-estimate, so the vertex
-    * and edge tests below select exactly G^k_st.
+  /** The corridor of the query whose bounded distances `sc` holds, read
+    * from the forward visit list: every corridor vertex has an exact, so
+    * finite, Δ(s,·) and was reached forward. Elsewhere the distances only
+    * over-estimate (every [[Bfs.SearchMode]] guarantees this), so the vertex
+    * and edge tests below select exactly G^k_st. Builds in O(reached +
+    * corridor edges) and overwrites the forward distance of each corridor
+    * vertex with its local id, so release `sc` afterwards.
     */
-  def apply(g: LocalGraph, d: Bfs.Dists, k: Int): Corridor = {
-    val found = new mutable.ArrayBuilder.ofInt
-    // Global → local ids; only corridor entries are written or read.
-    val rank = new Array[Int](g.n)
-    var c = 0; var y = 0
-    while (y < g.n) { if (d.fromS(y) + d.toT(y) <= k) { found += y; rank(y) = c; c += 1 }; y += 1 }
-    val ids = found.result()
-    val dF = new Array[Int](c); val dB = new Array[Int](c)
+  def apply(g: LocalGraph, sc: Bfs.Scratch, k: Int): Corridor = {
+    val dF = sc.fwd.dist; val dB = sc.bwd.dist
+    val visits = sc.fwd.queue; val reached = sc.fwd.reached
+    var c = 0; var i = 0
+    while (i < reached) { val y = visits(i); if (dF(y) + dB(y) <= k) c += 1; i += 1 }
+    val ids = new Array[Int](c)
+    c = 0; i = 0
+    while (i < reached) { val y = visits(i); if (dF(y) + dB(y) <= k) { ids(c) = y; c += 1 }; i += 1 }
+    java.util.Arrays.sort(ids)
+    // Local distances, then each corridor vertex's forward entry holds its
+    // local id (global → local); the backward entries stay as they are.
+    val lF = new Array[Int](c); val lB = new Array[Int](c)
+    i = 0
+    while (i < c) { val y = ids(i); lF(i) = dF(y); lB(i) = dB(y); dF(y) = i; i += 1 }
     val outAdj = new Array[Array[Int]](c)
     val inDeg  = new Array[Int](c)
     var row = new Array[Int](16) // one vertex's window out-neighbors
-    var i = 0
+    i = 0
     while (i < c) {
-      val u = ids(i); dF(i) = d.fromS(u); dB(i) = d.toT(u)
-      val a = g.outAdj(u)
+      val a = g.outAdj(ids(i))
       if (row.length < a.length) row = new Array[Int](a.length)
       // Both ends of a window edge lie in the corridor, and a(j) ascends.
       var cnt = 0; var j = 0
       while (j < a.length) {
-        if (Bfs.inWindow(dF(i), d.toT(a(j)), k)) { val v = rank(a(j)); row(cnt) = v; inDeg(v) += 1; cnt += 1 }
+        if (Bfs.inWindow(lF(i), dB(a(j)), k)) { val v = dF(a(j)); row(cnt) = v; inDeg(v) += 1; cnt += 1 }
         j += 1
       }
       outAdj(i) = if (cnt == 0) Array.emptyIntArray else java.util.Arrays.copyOf(row, cnt)
@@ -79,6 +85,6 @@ object Corridor {
       while (j < o.length) { val v = o(j); inAdj(v)(inDeg(v)) = i; inDeg(v) += 1; j += 1 }
       i += 1
     }
-    new Corridor(ids, new LocalGraph(c, outAdj, inAdj), Bfs.Dists(dF, dB))
+    new Corridor(ids, new LocalGraph(c, outAdj, inAdj), Bfs.Dists(lF, lB))
   }
 }

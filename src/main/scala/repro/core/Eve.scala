@@ -39,6 +39,10 @@ final case class EveStats(
     corridorVertices: Int = 0,
     /** Edges of that corridor; 0 without pruning. */
     corridorEdges: Int = 0,
+    /** Vertices the forward distance search reached (Δ(s,·) assigned). */
+    bfsReachedF: Int = 0,
+    /** Vertices the backward distance search reached (Δ(·,t) assigned). */
+    bfsReachedB: Int = 0,
 ) {
   def totalNs: Long = distNs + propagateNs + labelNs + verifyNs
 }
@@ -83,18 +87,28 @@ object Eve {
     require(s != t, "query requires s != t")
     require(k >= 1, "hop constraint must be >= 1")
 
-    val t0    = System.nanoTime()
-    val dists = Bfs.distances(g, s, t, k, config.search)
+    val t0 = System.nanoTime()
+    // Under pruning the corridor, else distances over the whole graph; null
+    // when t is beyond k hops. Either way the scratch is clean afterwards.
+    var cor: Corridor = null; var dists: Bfs.Dists = null
+    var reachedF, reachedB = 0
+    val sc = Bfs.Scratch.borrow(g.n)
+    try {
+      sc.search(g, s, t, k, config.search, deadline)
+      reachedF = sc.fwd.reached; reachedB = sc.bwd.reached
+      // Theorem 3.6's pruning confines propagation to window edges into
+      // corridor vertices (DESIGN.md §6), so under it the corridor suffices.
+      if (sc.fwd.dist(t) <= k) {
+        if (config.pruning) cor = Corridor(g, sc, k) else dists = sc.dists
+      }
+    } finally sc.release()
 
     // Unreachable within k hops: empty answer, skip the heavy phases.
-    if (dists.fromS(t) > k) {
+    if (cor == null && dists == null) {
       val empty = new UpperBoundGraph(g.n, k, s, t, Array.emptyLongArray, Array.emptyByteArray)
       return new EveResult(Array.emptyLongArray, empty,
-        EveStats(System.nanoTime() - t0, 0, 0, 0, 0, 0, 0, 0))
+        EveStats(System.nanoTime() - t0, 0, 0, 0, 0, 0, 0, 0, bfsReachedF = reachedF, bfsReachedB = reachedB))
     }
-    // Theorem 3.6's pruning confines propagation to window edges into
-    // corridor vertices (DESIGN.md §6), so under it the corridor suffices.
-    val cor = if (config.pruning) Corridor(g, dists, k) else null
     // The graph, endpoints and distances the later phases run on.
     val (h, hs, ht, hd) =
       if (cor == null) (g, s, t, dists) else (cor.graph, cor.local(s), cor.local(t), cor.dists)
@@ -134,6 +148,8 @@ object Eve {
         verifyMaxFrames = if (verifier == null) 0 else verifier.maxSteps,
         corridorVertices = if (cor == null) 0 else h.n,
         corridorEdges = if (cor == null) 0 else Math.toIntExact(h.m),
+        bfsReachedF = reachedF,
+        bfsReachedB = reachedB,
       ),
     )
   }

@@ -10,8 +10,12 @@ object Deadline {
   /** A deadline that never fires. */
   val None: Long = Long.MaxValue
   def in(ms: Long): Long = System.nanoTime() + ms * 1000000L
+  /** Throws past `deadline`. One comparison whether or not a deadline is
+    * set (never true for [[None]]), so compiled code warmed up without one
+    * keeps the same branch profile when a caller passes one.
+    */
   @inline def check(deadline: Long): Unit =
-    if (deadline != Long.MaxValue && System.nanoTime() > deadline) throw new DeadlineExceeded
+    if (System.nanoTime() > deadline) throw new DeadlineExceeded
 }
 
 /** Verification of undetermined edges (Algorithm 3, §5.2) with the search

@@ -20,7 +20,7 @@ class CorridorSpec extends SparkSpec {
       for ((s, t) <- GraphGen.queries(g, k, 5, seed = k * 7L) :+ ((0, g.n - 1))) {
         val q   = s"($s,$t)"
         val d   = Bfs.distances(g, s, t, k, mode)
-        val cor = Corridor(g, d, k)
+        val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); Corridor(g, sc, k) }
         val dS  = Bfs.bounded(g.outAdj, g.n, s, k)
         val dT  = Bfs.bounded(g.inAdj, g.n, t, k)
         assert(cor.ids.toSeq == (0 until g.n).filter(y => dS(y) + dT(y) <= k), q)

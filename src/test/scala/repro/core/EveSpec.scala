@@ -116,6 +116,100 @@ class EveSpec extends SparkSpec {
     assert(naive.corridorVertices == 0 && naive.corridorEdges == 0, "no corridor without pruning")
   }
 
+  test("paper graph: BFS reached counters match a hand count of both visit lists") {
+    import PaperGraph._
+    // k=4, adaptive: forward {s} → {a,c} → {h,i,b,t}, and phase 2 adds none;
+    // backward {t} → {b,c} → {h,s,a}, and phase 2 adds none (j, i unmet).
+    val k4 = Eve.run(graph, s, t, 4).stats
+    assert(k4.bfsReachedF == 7 && k4.bfsReachedB == 6)
+    // k=7: backward takes levels 3–5 ({j}, {i}, {}); forward's phase 2 adds j.
+    val k7 = Eve.run(graph, s, t, 7).stats
+    assert(k7.bfsReachedF == 8 && k7.bfsReachedB == 8)
+    // Naive EVE (single BFS to depth k from both ends) reaches all 8 vertices.
+    val naive = Eve.run(graph, s, t, 4, EveConfig.Naive).stats
+    assert(naive.bfsReachedF == 8 && naive.bfsReachedB == 8)
+  }
+
+  /** Everything `Eve.run` reports but the phase times. */
+  private def answer(r: EveResult): Seq[Any] = {
+    val st = r.stats
+    Seq(r.edges.toSeq, r.upperBound.edges.toSeq, r.upperBound.labels.toSeq,
+        st.copy(distNs = 0, propagateNs = 0, labelNs = 0, verifyNs = 0))
+  }
+
+  test("an expired deadline inside the distance search leaves the pooled scratch clean") {
+    val g1 = GraphGen.uniform(60, 240, 41)
+    val g2 = GraphGen.uniform(60, 240, 42)
+    val k  = 6
+    val (s1, t1) = GraphGen.queries(g1, k, 1, seed = 5).head
+    val (s2, t2) = GraphGen.queries(g2, k, 1, seed = 6).head
+    for (cfg <- Seq(EveConfig.Default, EveConfig.Naive)) {
+      intercept[DeadlineExceeded](Eve.run(g1, s1, t1, k, cfg, deadline = System.nanoTime() - 1))
+      assert(Eve.spg(g1, s1, t1, k, cfg).toSet == BruteForce.spg(g1, s1, t1, k), cfg)
+      assert(Eve.spg(g2, s2, t2, k, cfg).toSet == BruteForce.spg(g2, s2, t2, k), cfg)
+    }
+    // t beyond k hops: only the search itself runs, so only its check can fire.
+    val path = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4)))
+    intercept[DeadlineExceeded](Eve.run(path, 0, 4, 3, deadline = System.nanoTime() - 1))
+    assert(Eve.spg(path, 0, 4, 4).length == 4)
+  }
+
+  test("pooled scratch: queries interleaved over graphs of equal and different n equal fresh runs") {
+    // Two graphs with n = 120, then two with n = 300: the round-robin below
+    // reuses a scratch across equal n and switches size every second query.
+    val graphs = Seq(GraphGen.uniform(120, 330, 7), GraphGen.uniform(120, 400, 8),
+                     GraphGen.powerLaw(300, 900, alpha = 0.9, seed = 11),
+                     GraphGen.powerLaw(300, 1000, alpha = 0.9, seed = 12))
+    val cfgs = Seq(EveConfig.Default, EveConfig(search = Bfs.SearchMode.BiDir),
+                   EveConfig(search = Bfs.SearchMode.Single), EveConfig.Naive)
+    val runs = for {
+      k <- 3 to 7; i <- 0 until 4; gi <- graphs.indices
+      (s, t) = GraphGen.queries(graphs(gi), k, 4, seed = k * 17L + gi)(i)
+    } yield (graphs(gi), s, t, k, cfgs((i + gi) % cfgs.length))
+    val fresh = runs.map { case (g, s, t, k, cfg) => Bfs.Scratch.clear(); answer(Eve.run(g, s, t, k, cfg)) }
+    Bfs.Scratch.clear()
+    for (((g, s, t, k, cfg), ref) <- runs.zip(fresh))
+      assert(answer(Eve.run(g, s, t, k, cfg)) == ref, s"n=${g.n} ($s,$t) k=$k $cfg")
+  }
+
+  test("pooled scratch: 4 threads x 50 concurrent queries equal the sequential answers") {
+    val g  = GraphGen.powerLaw(2000, 8000, alpha = 0.9, seed = 23)
+    val qs = (GraphGen.queries(g, 5, 25, seed = 1).map((_, 5)) ++
+              GraphGen.queries(g, 6, 25, seed = 2).map((_, 6))).toIndexedSeq
+    val sequential = qs.map { case ((s, t), k) => answer(Eve.run(g, s, t, k)) }
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      // Each thread starts at a different query, so neighbours differ.
+      val futures = (0 until 4).map { th =>
+        pool.submit(new java.util.concurrent.Callable[Seq[(Int, Seq[Any])]] {
+          def call(): Seq[(Int, Seq[Any])] = qs.indices.map { j =>
+            val q = (j + th * 13) % qs.length
+            val ((s, t), k) = qs(q)
+            (q, answer(Eve.run(g, s, t, k)))
+          }
+        })
+      }
+      for (f <- futures; (q, a) <- f.get()) assert(a == sequential(q), s"query $q")
+    } finally pool.shutdown()
+  }
+
+  test("a query allocates in proportion to its corridor, not to |V| (n = 200,000, k = 3)") {
+    val g  = GraphGen.powerLaw(200000, 600000, alpha = 0.9, seed = 31)
+    val qs = GraphGen.queries(g, 3, 40, seed = 9)
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    def pass(): Long = {
+      val a0 = mx.getCurrentThreadAllocatedBytes
+      qs.foreach { case (s, t) => Eve.run(g, s, t, 3) }
+      mx.getCurrentThreadAllocatedBytes - a0
+    }
+    pass(); pass() // pooled scratch and its visit lists at their final size
+    val perQuery = pass() / qs.length
+    val corridor = qs.map { case (s, t) => Eve.run(g, s, t, 3).stats.corridorVertices }.max
+    // Two n-sized Int arrays alone would be 1,600,000 bytes.
+    assert(perQuery < 128 * 1024, s"$perQuery bytes per query; largest corridor $corridor vertices")
+  }
+
   /** `Eve.run` against a replica of its layer calls on the global graph: the
     * configuration's distances, both propagations, Algorithm 2 and, for k > 4,
     * the verifier. Whatever graph `Eve.run` runs its phases on, the SPG, the
