@@ -79,7 +79,7 @@ object EdgeLabeling {
 
   /** Label every edge of the G^k_st window and assemble the upper-bound
     * graph. Edges outside the window violate the length constraint outright
-    * and are failing without inspection.
+    * and are failing without inspection. Checks `deadline` every 4,096 edges.
     */
   def upperBound(
       g: LocalGraph,
@@ -89,6 +89,7 @@ object EdgeLabeling {
       dists: Bfs.Dists,
       evF: EvIndex,
       evB: EvIndex,
+      deadline: Long = Deadline.None,
   ): UpperBoundGraph = {
     val edges  = Bfs.window(g, dists, k)
     val labels = new Array[Byte](edges.length)
@@ -97,6 +98,7 @@ object EdgeLabeling {
     var kept = 0
     var i = 0
     while (i < edges.length) {
+      if ((i & 0xfff) == 0) Deadline.check(deadline)
       val e = edges(i); val u = LocalGraph.src(e); val v = LocalGraph.dst(e)
       fu.v = u; bv.v = v
       val lab = labelEdge(k, s, t, u, v, fu, bv)
@@ -122,11 +124,22 @@ final class Boundary(
     /** Valid out-neighbors per arrival vertex (≤ k-2 entries), null elsewhere. */
     val outA: Array[Array[Int]],
 ) extends Serializable {
-  def departures: Seq[Int] = isDeparture.indices.filter(isDeparture)
-  def arrivals: Seq[Int]   = isArrival.indices.filter(isArrival)
+  /** The departure vertices, ascending. */
+  def departures: Array[Int] = Boundary.members(isDeparture)
+  /** The arrival vertices, ascending. */
+  def arrivals: Array[Int] = Boundary.members(isArrival)
 }
 
 object Boundary {
+
+  private def members(flags: Array[Boolean]): Array[Int] = {
+    var c = 0
+    var v = 0; while (v < flags.length) { if (flags(v)) c += 1; v += 1 }
+    val out = new Array[Int](c)
+    c = 0
+    v = 0; while (v < flags.length) { if (flags(v)) { out(c) = v; c += 1 }; v += 1 }
+    out
+  }
 
   /** Two passes over the ascending `ub.edges`: mark s's out- and t's
     * in-neighbors, then file each e(x,v) under In_D(v) and Out_A(x). So every

@@ -42,6 +42,7 @@ object EssentialVertices {
     *                    layer l is skipped when l + Δ(y,t) > k. Pass the
     *                    backward distances for a forward run and vice versa.
     * @param pruning     disable to reproduce "Naive EVE" in the Fig. 11 ablation
+    * @param deadline    checked once per layer
     */
   def propagate(
       g: LocalGraph,
@@ -50,6 +51,7 @@ object EssentialVertices {
       k: Int,
       distToOther: Array[Int],
       pruning: Boolean,
+      deadline: Long = Deadline.None,
   ): EvIndex = {
     val n = g.n
     val lastLayer = math.max(0, k - 1)
@@ -71,6 +73,7 @@ object EssentialVertices {
 
     var l = 1
     while (l <= lastLayer) {
+      Deadline.check(deadline)
       val prev = layers(l - 1)
       val cur  = new Array[Array[Int]](n)
       touched.clear()

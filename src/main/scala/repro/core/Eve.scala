@@ -35,6 +35,10 @@ final case class EveStats(
     witnessSkipped: Int = 0,
     /** The most DFS frames any single undetermined edge's search took. */
     verifyMaxFrames: Long = 0,
+    /** Backward searches verification did not start: every valid
+      * out-neighbor of the arrival was already on the witness stack.
+      */
+    backwardSkipped: Long = 0,
     /** Vertices of the corridor G^k_st the later phases ran on; 0 without pruning. */
     corridorVertices: Int = 0,
     /** Edges of that corridor; 0 without pruning. */
@@ -114,14 +118,11 @@ object Eve {
       if (cor == null) (g, s, t, dists) else (cor.graph, cor.local(s), cor.local(t), cor.dists)
     val t1 = System.nanoTime()
 
-    Deadline.check(deadline)
-    val evF = EssentialVertices.propagate(h, hs, ht, k, hd.fromAll, config.pruning)
-    Deadline.check(deadline)
-    val evB = EssentialVertices.propagate(h.reverse, ht, hs, k, hd.toAll, config.pruning)
+    val evF = EssentialVertices.propagate(h, hs, ht, k, hd.fromAll, config.pruning, deadline)
+    val evB = EssentialVertices.propagate(h.reverse, ht, hs, k, hd.toAll, config.pruning, deadline)
     val t2  = System.nanoTime()
 
-    Deadline.check(deadline)
-    val ub = EdgeLabeling.upperBound(h, hs, ht, k, hd, evF, evB)
+    val ub = EdgeLabeling.upperBound(h, hs, ht, k, hd, evF, evB, deadline)
     val t3 = System.nanoTime()
 
     // Theorem 4.8: for k ≤ 4 SPGu = SPG, no verification needed.
@@ -146,6 +147,7 @@ object Eve {
         verifySteps = if (verifier == null) 0 else verifier.steps,
         witnessSkipped = if (verifier == null) 0 else verifier.skipped,
         verifyMaxFrames = if (verifier == null) 0 else verifier.maxSteps,
+        backwardSkipped = if (verifier == null) 0 else verifier.backwardSkipped,
         corridorVertices = if (cor == null) 0 else h.n,
         corridorEdges = if (cor == null) 0 else Math.toIntExact(h.m),
         bfsReachedF = reachedF,

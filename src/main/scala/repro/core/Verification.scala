@@ -28,6 +28,14 @@ object Deadline {
   * is confirmed, so later undetermined edges on the same witness path are
   * skipped. Adjacency, witness stack and result hold SPGu edge ids
   * ([[UpperBoundGraph]]), so nothing is boxed per edge or per step.
+  *
+  * The search enters no frame that cannot reach a successful Theorem 5.6
+  * test (DESIGN.md §6): (a) no backward search from an arrival whose Out_A
+  * is all on the stack, (b) no backward step onto the last off-stack vertex
+  * of Out_A, and (c) no step whose lower-bound q* length, from the BFS
+  * distances to the nearest arrival and from the nearest departure, exceeds
+  * k-4. Pruned subtrees hold no success, so every edge finds the witness the
+  * uncut search would find.
   */
 final class Verifier(
     ub: UpperBoundGraph,
@@ -41,23 +49,26 @@ final class Verifier(
   private val eDst = new Array[Int](m)
   /** SPG membership per edge id; definite edges are in from the start. */
   private val inSpg = new Array[Boolean](m)
-  for (e <- 0 until m) {
-    eSrc(e) = LocalGraph.src(ub.edges(e)); eDst(e) = LocalGraph.dst(ub.edges(e))
-    inSpg(e) = ub.labels(e) == EdgeLabel.Definite
-  }
+  Verifier.decode(ub, eSrc, eDst, inSpg)
 
-  // Edge ids by source / by target (CSR), ascending within a vertex: SPGu's
-  // only adjacency. §5.3 reorders each vertex's ids, so offsets stay: out-edges
-  // by the head's distance to the nearest arrival (a BFS over this CSR),
-  // arrivals by |Out_A| descending; in-edges by the tail's distance from the
-  // nearest departure, departures by |In_D| descending.
-  private val (outOff, outIds) = Verifier.group(Array.range(0, m), eSrc, ub.n)
-  private val (inOff, inIds)   = Verifier.group(Array.range(0, m), eDst, ub.n)
+  // Edge ids by source / by target (CSR): SPGu's only adjacency. `ub.edges`
+  // ascend by (src, dst), so by source they are already grouped.
+  private val outOff = Verifier.offsets(eSrc, ub.n)
+  private val outIds = Array.range(0, m)
+  private val inOff  = Verifier.offsets(eDst, ub.n)
+  private val inIds  = Verifier.grouped(inOff, eDst)
+  // Hops from each vertex to the nearest arrival and from the nearest
+  // departure over SPGu, ignoring simplicity: lower bounds for cut (c), so
+  // a BFS to depth k-4 suffices; Inf beyond.
+  private val toArrival     = Bfs.nearest(inOff, inIds, eSrc, ub.n, boundary.arrivals, k - 4)
+  private val fromDeparture = Bfs.nearest(outOff, outIds, eDst, ub.n, boundary.departures, k - 4)
+  // §5.3 reorders each vertex's ids, so offsets stay: out-edges by the
+  // head's distance to the nearest arrival, arrivals by |Out_A| descending;
+  // in-edges by the tail's distance from the nearest departure, departures
+  // by |In_D| descending.
   if (ordering) {
-    val toArrival     = Bfs.nearest(inOff, inIds, eSrc, ub.n, boundary.arrivals.toArray, Bfs.Inf)
-    val fromDeparture = Bfs.nearest(outOff, outIds, eDst, ub.n, boundary.departures.toArray, Bfs.Inf)
-    Verifier.group(Verifier.ranked(eDst, toArrival, boundary.outA, k), eSrc, ub.n)._2.copyToArray(outIds)
-    Verifier.group(Verifier.ranked(eSrc, fromDeparture, boundary.inD, k), eDst, ub.n)._2.copyToArray(inIds)
+    Verifier.order(outOff, eSrc, eDst, toArrival, boundary.outA, k, outIds)
+    Verifier.order(inOff, eDst, eSrc, fromDeparture, boundary.inD, k, inIds)
   }
 
   private val onStack = new Array[Boolean](ub.n)
@@ -66,6 +77,7 @@ final class Verifier(
   private var frames  = 0L
   private var skips   = 0
   private var widest  = 0L
+  private var noBackward = 0L
 
   /** DFS frames entered so far. */
   def steps: Long = frames
@@ -73,6 +85,8 @@ final class Verifier(
   def maxSteps: Long = widest
   /** Undetermined edges skipped because an earlier witness path confirmed them. */
   def skipped: Int = skips
+  /** Backward searches not started: every vertex of the arrival's Out_A was on the stack (cut (a)). */
+  def backwardSkipped: Long = noBackward
 
   /** Algorithm 3's outer loop over the undetermined edge ids `ids`, in
     * order; an id already confirmed is skipped. Returns the SPG membership
@@ -100,10 +114,13 @@ final class Verifier(
   private def visit(e: Int): Unit = if (inSpg(e)) skips += 1 else search(e)
 
   private def search(e: Int): Unit = {
-    onStack(eSrc(e)) = true; onStack(eDst(e)) = true; onStack(ub.s) = true; onStack(ub.t) = true
+    val u = eSrc(e); val v = eDst(e)
+    // (c): q* through e(u,v) has ≥ fromDeparture(u) + 1 + toArrival(v) hops.
+    if (toArrival(v) > k - 5 - fromDeparture(u)) return
+    onStack(u) = true; onStack(v) = true; onStack(ub.s) = true; onStack(ub.t) = true
     stack(0) = e; depth = 1
     val before = frames
-    forward(eDst(e), 1, eSrc(e))
+    forward(v, 1, u)
     widest = math.max(widest, frames - before)
     // On success the early returns skip the per-frame pops, so clear every
     // vertex the surviving stack touched — a stale mark would wrongly block
@@ -115,58 +132,82 @@ final class Verifier(
   private def forward(cur: Int, l: Int, u: Int): Boolean = {
     frames += 1
     if ((frames & 0x3ff) == 0) Deadline.check(deadline)
-    if (boundary.isArrival(cur) && backward(u, l, cur)) return true
-    if (l < k - 4) {
-      var j = outOff(cur); val end = outOff(cur + 1)
-      while (j < end) {
-        val e = outIds(j); val nxt = eDst(e)
-        if (!onStack(nxt)) {
-          onStack(nxt) = true; stack(depth) = e; depth += 1
-          if (forward(nxt, l + 1, u)) return true
-          onStack(nxt) = false; depth -= 1
-        }
-        j += 1
+    if (boundary.isArrival(cur) && fromArrival(cur, l, u)) return true
+    // (c): toArrival(nxt) + l + 1 + fromDeparture(u) ≤ k-4.
+    val budget = k - 5 - l - fromDeparture(u)
+    var j = outOff(cur); var end = outOff(cur + 1)
+    while (j < end) {
+      val e = outIds(j); val nxt = eDst(e)
+      // §5.3 sorts by this distance first: nothing after it fits either.
+      if (toArrival(nxt) > budget) { if (ordering) end = j }
+      else if (!onStack(nxt)) {
+        onStack(nxt) = true; stack(depth) = e; depth += 1
+        if (forward(nxt, l + 1, u)) return true
+        onStack(nxt) = false; depth -= 1
       }
+      j += 1
     }
     false
   }
 
-  private def backward(cur: Int, l: Int, arrival: Int): Boolean = {
+  /** The backward half of q* from `u`, for the forward half ending at
+    * `arrival`; skipped when no vertex of Out_A(arrival) is off the stack
+    * (a), since `backward` only adds vertices to it.
+    */
+  private def fromArrival(arrival: Int, l: Int, u: Int): Boolean = {
+    val outAc = boundary.outA(arrival)
+    val free  = freeOf(outAc)
+    if (free == 0) { noBackward += 1; false }
+    else backward(u, l, outAc, free)
+  }
+
+  /** min(2, vertices of `outAc` off the stack): the tests below only tell
+    * none, one and more apart.
+    */
+  private def freeOf(outAc: Array[Int]): Int = {
+    var free = 0; var i = 0
+    while (free < 2 && i < outAc.length) { if (!onStack(outAc(i))) free += 1; i += 1 }
+    free
+  }
+
+  /** `free` is [[freeOf]] `outAc` = Out_A(arrival); never 0. */
+  private def backward(cur: Int, l: Int, outAc: Array[Int], free: Int): Boolean = {
     frames += 1
     if ((frames & 0x3ff) == 0) Deadline.check(deadline)
-    if (boundary.isDeparture(cur) && tryAddEdges(cur, arrival)) return true
-    if (l < k - 4) {
-      var j = inOff(cur); val end = inOff(cur + 1)
-      while (j < end) {
-        val e = inIds(j); val nxt = eSrc(e)
-        if (!onStack(nxt)) {
+    if (boundary.isDeparture(cur) && tryAddEdges(cur, outAc, free)) return true
+    // (c): fromDeparture(nxt) + l + 1 ≤ k-4.
+    val budget = k - 5 - l
+    var j = inOff(cur); var end = inOff(cur + 1)
+    while (j < end) {
+      val e = inIds(j); val nxt = eSrc(e)
+      if (fromDeparture(nxt) > budget) { if (ordering) end = j }
+      else if (!onStack(nxt)) {
+        // (b): pushing the last free vertex of Out_A fails every test beneath.
+        val member = VSet.contains(outAc, nxt)
+        if (!member || free > 1) {
           onStack(nxt) = true; stack(depth) = e; depth += 1
-          if (backward(nxt, l + 1, arrival)) return true
+          if (backward(nxt, l + 1, outAc, if (member) freeOf(outAc) else free)) return true
           onStack(nxt) = false; depth -= 1
         }
-        j += 1
       }
+      j += 1
     }
     false
   }
 
-  private def tryAddEdges(departure: Int, arrival: Int): Boolean = {
-    val inDc  = boundary.inD(departure)
-    val outAc = boundary.outA(arrival)
-    // ∃ x ∈ In_D(dep) \ stack, y ∈ Out_A(arr) \ stack with x ≠ y.
+  /** ∃ x ∈ In_D(departure) \ stack, y ∈ `outAc` \ stack with x ≠ y. With
+    * two free y any free x has one; with one, x must not be it.
+    */
+  private def tryAddEdges(departure: Int, outAc: Array[Int], free: Int): Boolean = {
+    val inDc = boundary.inD(departure)
+    var y = -1
+    if (free == 1) { var j = 0; while (onStack(outAc(j))) j += 1; y = outAc(j) }
     var i = 0
     while (i < inDc.length) {
       val x = inDc(i)
-      if (!onStack(x)) {
-        var j = 0
-        while (j < outAc.length) {
-          val y = outAc(j)
-          if (!onStack(y) && y != x) {
-            var d = 0; while (d < depth) { inSpg(stack(d)) = true; d += 1 }
-            return true
-          }
-          j += 1
-        }
+      if (!onStack(x) && x != y) {
+        var d = 0; while (d < depth) { inSpg(stack(d)) = true; d += 1 }
+        return true
       }
       i += 1
     }
@@ -174,34 +215,60 @@ final class Verifier(
   }
 }
 
+/** The set-up passes of [[Verifier]], kept out of its constructor so that
+  * each loop compiles as a method of its own.
+  */
 object Verifier {
 
-  /** Stable counting sort of `ids` by `bucket(id)` in [0, nb): the bucket
-    * offsets (length nb+1) and the sorted ids.
-    */
-  private def group(ids: Array[Int], bucket: Array[Int], nb: Int): (Array[Int], Array[Int]) = {
-    val off = new Array[Int](nb + 1)
-    var i = 0; while (i < ids.length) { off(bucket(ids(i)) + 1) += 1; i += 1 }
-    var b = 0; while (b < nb) { off(b + 1) += off(b); b += 1 }
-    val next = java.util.Arrays.copyOf(off, nb)
-    val out  = new Array[Int](ids.length)
-    i = 0; while (i < ids.length) { b = bucket(ids(i)); out(next(b)) = ids(i); next(b) += 1; i += 1 }
-    (off, out)
-  }
-
-  /** Edge ids stably sorted by their endpoint w = `end(e)`: `dist(w)`
-    * ascending, then |`sets(w)`| descending (a set holds ≤ k vertices,
-    * Theorem 5.8); ties keep id order. Two stable counting passes, least
-    * significant first.
-    */
-  private def ranked(end: Array[Int], dist: Array[Int], sets: Array[Array[Int]], k: Int): Array[Int] = {
-    val sizeBucket, distBucket = new Array[Int](end.length)
+  /** Endpoints and definite flags of every SPGu edge id. */
+  private def decode(ub: UpperBoundGraph, eSrc: Array[Int], eDst: Array[Int], inSpg: Array[Boolean]): Unit = {
     var e = 0
-    while (e < end.length) {
-      sizeBucket(e) = k - (if (sets(end(e)) == null) 0 else sets(end(e)).length)
-      distBucket(e) = math.min(dist(end(e)), dist.length) // Inf sorts last
+    while (e < ub.numEdges) {
+      eSrc(e) = LocalGraph.src(ub.edges(e)); eDst(e) = LocalGraph.dst(ub.edges(e))
+      inSpg(e) = ub.labels(e) == EdgeLabel.Definite
       e += 1
     }
-    group(group(Array.range(0, end.length), sizeBucket, k + 1)._2, distBucket, dist.length + 1)._2
+  }
+
+  /** CSR offsets (length n+1) of the edge ids grouped by `end(e)` in [0, n). */
+  private def offsets(end: Array[Int], n: Int): Array[Int] = {
+    val off = new Array[Int](n + 1)
+    var e = 0; while (e < end.length) { off(end(e) + 1) += 1; e += 1 }
+    var v = 0; while (v < n) { off(v + 1) += off(v); v += 1 }
+    off
+  }
+
+  /** The edge ids grouped by `end(e)` at offsets `off`, ascending within a group. */
+  private def grouped(off: Array[Int], end: Array[Int]): Array[Int] = {
+    val next = java.util.Arrays.copyOf(off, off.length - 1)
+    val ids  = new Array[Int](end.length)
+    var e = 0; while (e < end.length) { ids(next(end(e))) = e; next(end(e)) += 1; e += 1 }
+    ids
+  }
+
+  /** Rewrites `ids` to the edge ids grouped by `by(e)` at offsets `off` and,
+    * within a group, in §5.3's order of their other endpoint w = `end(e)`:
+    * `dist(w)` ascending, then |`sets(w)`| descending (a set holds ≤ k
+    * vertices, Theorem 5.8); ties keep id order. Distances from k-3 on share
+    * the last rank, as cut (c) never follows such an edge. One stable
+    * counting sort by that key, then a stable regrouping; `ids` holds the
+    * keys in between.
+    */
+  private def order(off: Array[Int], by: Array[Int], end: Array[Int], dist: Array[Int],
+                    sets: Array[Array[Int]], k: Int, ids: Array[Int]): Unit = {
+    val m = ids.length; val cap = math.max(k - 3, 0)
+    val count = new Array[Int]((cap + 1) * (k + 1) + 1)
+    var e = 0
+    while (e < m) {
+      val w = end(e)
+      ids(e) = math.min(dist(w), cap) * (k + 1) + k - (if (sets(w) == null) 0 else sets(w).length)
+      count(ids(e) + 1) += 1
+      e += 1
+    }
+    var b = 1; while (b < count.length) { count(b) += count(b - 1); b += 1 }
+    val byKey = new Array[Int](m)
+    e = 0; while (e < m) { byKey(count(ids(e))) = e; count(ids(e)) += 1; e += 1 }
+    val next = java.util.Arrays.copyOf(off, off.length - 1)
+    var i = 0; while (i < m) { e = byKey(i); ids(next(by(e))) = e; next(by(e)) += 1; i += 1 }
   }
 }

@@ -190,4 +190,14 @@ class EdgeLabelingSpec extends SparkSpec {
     assert(bd.isDeparture(1))
     assert(bd.inD(1).length <= k - 2)
   }
+
+  test("a past deadline aborts labeling with DeadlineExceeded") {
+    import PaperGraph._
+    val dists = Bfs.distances(graph, s, t, 7, Bfs.SearchMode.Adaptive)
+    val evF   = EssentialVertices.propagate(graph, s, t, 7, dists.fromAll, pruning = true)
+    val evB   = EssentialVertices.propagate(graph.reverse, t, s, 7, dists.toAll, pruning = true)
+    intercept[DeadlineExceeded] {
+      EdgeLabeling.upperBound(graph, s, t, 7, dists, evF, evB, deadline = System.nanoTime() - 1)
+    }
+  }
 }

@@ -108,4 +108,12 @@ class EssentialVerticesSpec extends SparkSpec {
       }
     }
   }
+
+  test("a past deadline aborts propagation with DeadlineExceeded") {
+    import PaperGraph._
+    val dists = Bfs.distances(graph, s, t, 7, Bfs.SearchMode.Adaptive)
+    intercept[DeadlineExceeded] {
+      EssentialVertices.propagate(graph, s, t, 7, dists.fromAll, pruning = true, deadline = System.nanoTime() - 1)
+    }
+  }
 }

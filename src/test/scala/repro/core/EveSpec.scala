@@ -217,21 +217,21 @@ class EveSpec extends SparkSpec {
     */
 
     private final class Replica(val edges: Array[Long], val ub: UpperBoundGraph, val definite: Int,
-                                val steps: Long, val skipped: Int, val maxFrames: Long)
+                                val steps: Long, val skipped: Int, val maxFrames: Long, val noBackward: Long)
 
     private def replica(g: LocalGraph, s: Int, t: Int, k: Int, cfg: EveConfig): Replica = {
       val d = Bfs.distances(g, s, t, k, cfg.search)
       if (d.fromS(t) > k)
-        return new Replica(Array.emptyLongArray, null, 0, 0, 0, 0)
+        return new Replica(Array.emptyLongArray, null, 0, 0, 0, 0, 0)
       val evF = EssentialVertices.propagate(g, s, t, k, d.fromAll, cfg.pruning)
       val evB = EssentialVertices.propagate(g.reverse, t, s, k, d.toAll, cfg.pruning)
       val ub  = EdgeLabeling.upperBound(g, s, t, k, d, evF, evB)
       val definite = ub.labels.count(_ == EdgeLabel.Definite)
-      if (k <= 4) new Replica(ub.edges, ub, definite, 0, 0, 0)
+      if (k <= 4) new Replica(ub.edges, ub, definite, 0, 0, 0, 0)
       else {
         val v = new Verifier(ub, Boundary.compute(ub), cfg.ordering, Deadline.None)
         val edges = v.spgEdges()
-        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps)
+        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps, v.backwardSkipped)
       }
     }
 
@@ -267,6 +267,7 @@ class EveSpec extends SparkSpec {
           assert(st.verifySteps == ref.steps, q)
           assert(st.witnessSkipped == ref.skipped, q)
           assert(st.verifyMaxFrames == ref.maxFrames, q)
+          assert(st.backwardSkipped == ref.noBackward, q)
         }
       }
     }

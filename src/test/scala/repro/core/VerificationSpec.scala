@@ -118,11 +118,38 @@ class VerificationSpec extends SparkSpec {
     }
   }
 
+  // The cut search against the plain Algorithm 3 DFS on the same SPGu: the
+  // cuts drop only subtrees without a witness, so every edge finds the same
+  // first witness and the answer and skips stay, in no more frames.
+  for ((gName, graph) <- Seq[(String, Int => LocalGraph)](
+         "uniform"   -> (seed => GraphGen.uniform(40, 240, seed)),
+         "power-law" -> (seed => GraphGen.powerLaw(80, 320, alpha = 0.9, seed = seed)));
+       k <- 5 to 9; ordering <- Seq(true, false)) {
+    test(s"Verifier equals the plain search in answer and skips, in no more steps ($gName, k=$k, ordering=$ordering)") {
+      for (seed <- 0 until 4) {
+        val g = graph(seed * 17 + k)
+        for ((s, t) <- GraphGen.queries(g, k, 4, seed)) {
+          val ub  = Eve.run(g, s, t, k).upperBound
+          val bd  = Boundary.compute(ub)
+          val cut = new Verifier(ub, bd, ordering, Deadline.None)
+          val ref = new PlainVerifier(ub, bd, ordering)
+          val q   = s"seed=$seed ($s,$t)"
+          assert(cut.spgEdges().sameElements(ref.spgEdges()), q)
+          assert(cut.skipped == ref.skipped, q)
+          assert(cut.steps <= ref.steps, q)
+        }
+      }
+    }
+  }
+
   // Σ verifySteps, Σ witnessSkipped and Σ |SPG| over 12 queries: the §5.3
   // search order decides the first two, so they pin it, not just the answer.
+  // verifySteps also pins the cuts: the uncut search takes 4,241,993,
+  // 1,302,046 and 113,499,014 steps on these cases.
   for ((name, k, steps, skipped, spg) <- Seq(
-         ("wn", 6, 4241993L, 46591L, 643866L),
-         ("ye", 7, 1302046L, 16554L, 394250L))) {
+         ("wn", 6, 1518578L, 46591L, 643866L),
+         ("ye", 7, 1266845L, 16554L, 394250L),
+         ("wn", 7, 2644642L, 52427L, 858444L))) {
     test(s"verification work is pinned on $name (k=$k)") {
       val g  = GraphGen.dataset(name).build()
       val st = GraphGen.queries(g, k, 12, seed = 77).map { case (s, t) => Eve.run(g, s, t, k).stats }
