@@ -20,9 +20,15 @@ final class UpperBoundGraph(
     val edges: Array[Long],
     /** Parallel to [[edges]]: 1 or 2. */
     val labels: Array[Byte],
+    /** How many of [[labels]] are [[EdgeLabel.Definite]]. */
+    val numDefinite: Int,
 ) extends Serializable {
   require({ var i = 1; while (i < edges.length && edges(i - 1) < edges(i)) i += 1; i >= edges.length },
     "SPGu edges must be strictly ascending")
+
+  /** Counts the definite labels. */
+  def this(n: Int, k: Int, s: Int, t: Int, edges: Array[Long], labels: Array[Byte]) =
+    this(n, k, s, t, edges, labels, labels.count(_ == EdgeLabel.Definite))
 
   def numEdges: Int = edges.length
   def definiteEdges: Iterator[Long] =
@@ -78,8 +84,10 @@ object EdgeLabeling {
   }
 
   /** Label every edge of the G^k_st window and assemble the upper-bound
-    * graph. Edges outside the window violate the length constraint outright
-    * and are failing without inspection. Checks `deadline` every 4,096 edges.
+    * graph. Walks the out-adjacency in source order and labels each window
+    * edge as it meets it; on a [[Corridor]] graph every edge is one. Edges
+    * outside the window violate the length constraint outright and are
+    * failing without inspection. Checks `deadline` every 4,096 labeled edges.
     */
   def upperBound(
       g: LocalGraph,
@@ -91,22 +99,42 @@ object EdgeLabeling {
       evB: EvIndex,
       deadline: Long = Deadline.None,
   ): UpperBoundGraph = {
-    val edges  = Bfs.window(g, dists, k)
-    val labels = new Array[Byte](edges.length)
+    val dF = dists.toAll; val dB = dists.fromAll
+    // Every window edge leaves a vertex with Δ(s,u) < k; on a corridor that
+    // is every vertex with out-edges, so this is g.m there.
+    var cap = 0
+    var u = 0
+    while (u < g.n) { if (dF(u) < k) cap += g.outAdj(u).length; u += 1 }
+    val edges  = new Array[Long](cap)
+    val labels = new Array[Byte](cap)
     val fu = new IndexColumn(evF)
     val bv = new IndexColumn(evB)
-    var kept = 0
-    var i = 0
-    while (i < edges.length) {
-      if ((i & 0xfff) == 0) Deadline.check(deadline)
-      val e = edges(i); val u = LocalGraph.src(e); val v = LocalGraph.dst(e)
-      fu.v = u; bv.v = v
-      val lab = labelEdge(k, s, t, u, v, fu, bv)
-      if (lab != EdgeLabel.Failing) { edges(kept) = e; labels(kept) = lab; kept += 1 }
-      i += 1
+    var kept = 0; var definite = 0; var labeled = 0
+    u = 0
+    while (u < g.n) {
+      val du = dF(u)
+      if (du < k) {
+        fu.v = u
+        val a = g.outAdj(u); var j = 0
+        while (j < a.length) {
+          val v = a(j)
+          if (Bfs.inWindow(du, dB(v), k)) {
+            if ((labeled & 0xfff) == 0) Deadline.check(deadline)
+            labeled += 1
+            bv.v = v
+            val lab = labelEdge(k, s, t, u, v, fu, bv)
+            if (lab != EdgeLabel.Failing) {
+              edges(kept) = LocalGraph.enc(u, v); labels(kept) = lab; kept += 1
+              if (lab == EdgeLabel.Definite) definite += 1
+            }
+          }
+          j += 1
+        }
+      }
+      u += 1
     }
     new UpperBoundGraph(g.n, k, s, t,
-      java.util.Arrays.copyOf(edges, kept), java.util.Arrays.copyOf(labels, kept))
+      java.util.Arrays.copyOf(edges, kept), java.util.Arrays.copyOf(labels, kept), definite)
   }
 }
 

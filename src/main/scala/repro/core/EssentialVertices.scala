@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Layered essential-vertex sets produced by propagation (§3.2).
   *
   * `layers(l)(v)` is EV_l(s,v) (or EV_l(v,t) for a backward index) as a
@@ -10,7 +8,14 @@ import scala.collection.mutable.ArrayBuffer
   * Theorem 3.6 proves is never consulted in a way that changes the result.
   * Layers run 0..k-1 (Theorem 3.4 never needs longer prefixes).
   */
-final class EvIndex(val k: Int, val layers: Array[Array[Array[Int]]]) extends Serializable {
+final class EvIndex(
+    val k: Int,
+    val layers: Array[Array[Array[Int]]],
+    /** Σ over layers 1..k-1 of the frontier length propagation expanded. */
+    val frontier: Long = 0,
+    /** [[VSet.keepIn]] calls propagation made. */
+    val merges: Long = 0,
+) extends Serializable {
   /** EV set for paths of length ≤ l, or null. Requires 0 ≤ l ≤ k-1. */
   def at(l: Int, v: Int): Array[Int] = layers(l)(v)
 }
@@ -63,22 +68,31 @@ object EssentialVertices {
     layers(0) = new Array[Array[Int]](n)
     layers(0)(source) = Array(source)
 
-    var frontier = ArrayBuffer(source)
-    val touched  = new ArrayBuffer[Int]()
+    // A vertex enters `touched` at most once per layer and `reached` at most
+    // once in all, so n bounds every list. `touched` is filtered in place
+    // into the next frontier, and the two arrays swap each layer.
+    var frontier = new Array[Int](n); var frontierLen = 1
+    frontier(0) = source
+    var touched = new Array[Int](n)
     // Vertices with a non-null set at any layer so far: inheritance (line 12)
     // only needs to visit these, keeping each layer O(|reached|), not O(|V|).
-    val reached   = ArrayBuffer(source)
-    val isReached = new Array[Boolean](n)
-    isReached(source) = true
+    val reached = new Array[Int](n); var reachedLen = 1
+    reached(0) = source
+    // Vertices whose set is {source, y}. Every contribution holds both, so
+    // intersecting would return the set unchanged (DESIGN.md §6); sets only
+    // shrink, so a vertex stays minimal at every later layer.
+    val minimal = new Array[Boolean](n)
+    var frontierSum = 0L; var merges = 0L
 
     var l = 1
     while (l <= lastLayer) {
       Deadline.check(deadline)
       val prev = layers(l - 1)
       val cur  = new Array[Array[Int]](n)
-      touched.clear()
+      frontierSum += frontierLen
+      var touchedLen = 0
       var i = 0
-      while (i < frontier.length) {
+      while (i < frontierLen) {
         val x = frontier(i)
         val evx = prev(x)
         val outs = g.outAdj(x)
@@ -86,36 +100,32 @@ object EssentialVertices {
         while (j < outs.length) {
           val y = outs(j)
           // line 6 with the forward-looking pruning predicate folded in;
-          // `distToOther(y) <= k - l` avoids Int overflow on Inf.
-          if (y != source && y != excluded && (!pruning || distToOther(y) <= k - l)) {
+          // `distToOther(y) <= k - l` avoids Int overflow on Inf. A minimal
+          // y is skipped: inheritance gives it the same set, and an
+          // unchanged set never enters the frontier.
+          if (y != source && y != excluded && !minimal(y) && (!pruning || distToOther(y) <= k - l)) {
             // EV ∩ (EV_{l-1}(s,x) ∪ {y}); keepIn returns its first argument
-            // when nothing is dropped, so unchanged sets stay shared.
-            if (cur(y) == null) {
-              touched += y
-              // Seed with the inherited set so stale in-neighbor
-              // contributions (folded into EV_{l-1}) are kept.
-              val base = prev(y)
-              cur(y) = if (base == null) VSet.add(evx, y) else VSet.keepIn(base, evx, y)
-            } else {
-              cur(y) = VSet.keepIn(cur(y), evx, y)
-            }
+            // when nothing is dropped, so unchanged sets stay shared. The
+            // first contribution of a layer is seeded with the inherited set,
+            // so stale in-neighbor contributions (folded into EV_{l-1}) are kept.
+            val ev = cur(y)
+            if (ev == null) { touched(touchedLen) = y; touchedLen += 1 }
+            val base = if (ev != null) ev else prev(y)
+            val set =
+              if (base == null) { reached(reachedLen) = y; reachedLen += 1; VSet.add(evx, y) }
+              else { merges += 1; VSet.keepIn(base, evx, y) }
+            cur(y) = set
+            if (set.length == 2) minimal(y) = true
           }
           j += 1
         }
         i += 1
       }
-      // Register first-time reached vertices before inheriting.
-      var ti0 = 0
-      while (ti0 < touched.length) {
-        val y = touched(ti0)
-        if (!isReached(y)) { isReached(y) = true; reached += y }
-        ti0 += 1
-      }
       // line 12: inherit unchanged sets by reference (the paper's
       // "store the first, others refer to it" optimization). Unreached
       // vertices stay null at every layer, so visiting `reached` suffices.
       var ri = 0
-      while (ri < reached.length) {
+      while (ri < reachedLen) {
         val v = reached(ri)
         if (cur(v) == null) cur(v) = prev(v)
         ri += 1
@@ -124,18 +134,20 @@ object EssentialVertices {
       // Delta frontier: only vertices whose set actually changed (or were
       // reached for the first time) can alter a neighbor's intersection at
       // the next layer; unchanged contributions are already folded in.
-      val next = new ArrayBuffer[Int]()
+      var nextLen = 0
       var ti = 0
-      while (ti < touched.length) {
+      while (ti < touchedLen) {
         val y = touched(ti)
         val changed = (prev(y) == null) || ((cur(y) ne prev(y)) &&
           !java.util.Arrays.equals(cur(y), prev(y)))
-        if (changed) next += y
+        if (changed) { touched(nextLen) = y; nextLen += 1 }
         ti += 1
       }
-      frontier = next
+      val spent = frontier
+      frontier = touched; frontierLen = nextLen
+      touched = spent
       l += 1
     }
-    new EvIndex(k, layers)
+    new EvIndex(k, layers, frontierSum, merges)
   }
 }

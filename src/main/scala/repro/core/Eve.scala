@@ -47,6 +47,10 @@ final case class EveStats(
     bfsReachedF: Int = 0,
     /** Vertices the backward distance search reached (Δ(·,t) assigned). */
     bfsReachedB: Int = 0,
+    /** Σ over both propagations and their layers of the frontier length. */
+    evFrontier: Long = 0,
+    /** EV set intersections ([[VSet.keepIn]] calls) both propagations made. */
+    evMerges: Long = 0,
 ) {
   def totalNs: Long = distNs + propagateNs + labelNs + verifyNs
 }
@@ -131,10 +135,10 @@ object Eve {
     val edges    = if (cor == null) spg else cor.global(spg)
     val t4 = System.nanoTime()
 
-    val definite = ub.labels.count(_ == EdgeLabel.Definite)
+    val definite = ub.numDefinite
     new EveResult(
       edges,
-      if (cor == null) ub else new UpperBoundGraph(g.n, k, s, t, cor.global(ub.edges), ub.labels),
+      if (cor == null) ub else new UpperBoundGraph(g.n, k, s, t, cor.global(ub.edges), ub.labels, definite),
       EveStats(
         distNs = t1 - t0,
         propagateNs = t2 - t1,
@@ -152,6 +156,8 @@ object Eve {
         corridorEdges = if (cor == null) 0 else Math.toIntExact(h.m),
         bfsReachedF = reachedF,
         bfsReachedB = reachedB,
+        evFrontier = evF.frontier + evB.frontier,
+        evMerges = evF.merges + evB.merges,
       ),
     )
   }

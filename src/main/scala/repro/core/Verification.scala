@@ -102,9 +102,12 @@ final class Verifier(
     */
   def spgEdges(): Array[Long] = {
     var e = 0; while (e < m) { if (ub.labels(e) == EdgeLabel.Undetermined) visit(e); e += 1 }
-    val out = new Array[Long](m); var w = 0
+    var w = 0
+    e = 0; while (e < m) { if (inSpg(e)) w += 1; e += 1 }
+    val out = new Array[Long](w)
+    w = 0
     e = 0; while (e < m) { if (inSpg(e)) { out(w) = ub.edges(e); w += 1 }; e += 1 }
-    java.util.Arrays.copyOf(out, w)
+    out
   }
 
   /** [[spgEdges]] as an encoded-edge hash set. */

@@ -127,6 +127,37 @@ class EdgeLabelingSpec extends SparkSpec {
     assert(!set.contains(LocalGraph.enc(2, 0)), "edge t->s kept")
   }
 
+  /** Algorithm 2 over [[Bfs.window]]'s edge list, one [[EdgeLabeling.labelEdge]] per edge. */
+  private def labelWindow(g: LocalGraph, s: Int, t: Int, k: Int, d: Bfs.Dists,
+                          evF: EvIndex, evB: EvIndex): Seq[(Long, Byte)] = {
+    def column(ev: EvIndex, v: Int) = new EvColumn { def apply(l: Int): Array[Int] = ev.at(l, v) }
+    Bfs.window(g, d, k).toSeq
+      .map { e =>
+        val (u, v) = (LocalGraph.src(e), LocalGraph.dst(e))
+        (e, EdgeLabeling.labelEdge(k, s, t, u, v, column(evF, u), column(evB, v)))
+      }
+      .filter(_._2 != EdgeLabel.Failing)
+  }
+
+  for ((gName, g) <- Seq("uniform" -> GraphGen.uniform(120, 330, 7),
+                         "power-law" -> GraphGen.powerLaw(300, 1500, alpha = 0.9, seed = 11));
+       k <- 2 to 8) {
+    test(s"upperBound labels exactly the window edges, on the whole graph and the corridor ($gName, k=$k)") {
+      for ((s, t) <- GraphGen.queries(g, k, 5, seed = k * 13L)) {
+        val d   = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
+        val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, Bfs.SearchMode.Single, Deadline.None); Corridor(g, sc, k) }
+        for ((h, hs, ht, hd) <- Seq((g, s, t, d), (cor.graph, cor.local(s), cor.local(t), cor.dists))) {
+          val evF = EssentialVertices.propagate(h, hs, ht, k, hd.fromAll, pruning = false)
+          val evB = EssentialVertices.propagate(h.reverse, ht, hs, k, hd.toAll, pruning = false)
+          val ub  = EdgeLabeling.upperBound(h, hs, ht, k, hd, evF, evB)
+          val q   = s"($s,$t) on ${h.n} vertices"
+          assert(ub.edges.toSeq.zip(ub.labels.toSeq) == labelWindow(h, hs, ht, k, hd, evF, evB), q)
+          assert(ub.numDefinite == ub.labels.count(_ == EdgeLabel.Definite), q)
+        }
+      }
+    }
+  }
+
   test("an UpperBoundGraph whose edges are not strictly ascending is rejected") {
     import LocalGraph.enc
     val labels = Array(EdgeLabel.Definite, EdgeLabel.Definite)

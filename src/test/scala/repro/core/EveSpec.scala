@@ -130,6 +130,17 @@ class EveSpec extends SparkSpec {
     assert(naive.bfsReachedF == 8 && naive.bfsReachedB == 8)
   }
 
+  test("paper graph: propagation counters match a hand count at k=4") {
+    import PaperGraph._
+    // On the k=4 corridor {s,a,b,c,h,t}, forward frontiers are {s}, {a,c},
+    // {h,b}. Layer 2 seeds c from EV_1(s,c) = {s,c}, a set of two, with no
+    // intersection; layer 3 intersects EV_2(s,b) = {s,c,b} with h's
+    // contribution, giving Example 3.2's {s,b}. Backward is the mirror
+    // image: frontiers {t}, {b,c}, {h,a}, and one intersection, at a on layer 3.
+    val st = Eve.run(graph, s, t, 4).stats
+    assert(st.evFrontier == 10 && st.evMerges == 2, s"frontier ${st.evFrontier}, merges ${st.evMerges}")
+  }
+
   /** Everything `Eve.run` reports but the phase times. */
   private def answer(r: EveResult): Seq[Any] = {
     val st = r.stats
@@ -217,21 +228,23 @@ class EveSpec extends SparkSpec {
     */
 
     private final class Replica(val edges: Array[Long], val ub: UpperBoundGraph, val definite: Int,
-                                val steps: Long, val skipped: Int, val maxFrames: Long, val noBackward: Long)
+                                val steps: Long, val skipped: Int, val maxFrames: Long, val noBackward: Long,
+                                val frontier: Long, val merges: Long)
 
     private def replica(g: LocalGraph, s: Int, t: Int, k: Int, cfg: EveConfig): Replica = {
       val d = Bfs.distances(g, s, t, k, cfg.search)
       if (d.fromS(t) > k)
-        return new Replica(Array.emptyLongArray, null, 0, 0, 0, 0, 0)
+        return new Replica(Array.emptyLongArray, null, 0, 0, 0, 0, 0, 0, 0)
       val evF = EssentialVertices.propagate(g, s, t, k, d.fromAll, cfg.pruning)
       val evB = EssentialVertices.propagate(g.reverse, t, s, k, d.toAll, cfg.pruning)
       val ub  = EdgeLabeling.upperBound(g, s, t, k, d, evF, evB)
       val definite = ub.labels.count(_ == EdgeLabel.Definite)
-      if (k <= 4) new Replica(ub.edges, ub, definite, 0, 0, 0, 0)
+      val (frontier, merges) = (evF.frontier + evB.frontier, evF.merges + evB.merges)
+      if (k <= 4) new Replica(ub.edges, ub, definite, 0, 0, 0, 0, frontier, merges)
       else {
         val v = new Verifier(ub, Boundary.compute(ub), cfg.ordering, Deadline.None)
         val edges = v.spgEdges()
-        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps, v.backwardSkipped)
+        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps, v.backwardSkipped, frontier, merges)
       }
     }
 
@@ -268,6 +281,8 @@ class EveSpec extends SparkSpec {
           assert(st.witnessSkipped == ref.skipped, q)
           assert(st.verifyMaxFrames == ref.maxFrames, q)
           assert(st.backwardSkipped == ref.noBackward, q)
+          assert(st.evFrontier == ref.frontier, q)
+          assert(st.evMerges == ref.merges, q)
         }
       }
     }
