@@ -195,22 +195,33 @@ object Bfs {
 
   /** k-bounded BFS from all `roots` at once over an edge-id CSR: vertex x's
     * edges are `ids(off(x) until off(x+1))` and edge e leads to `end(e)`.
-    * The distance to the nearest root, Inf beyond k.
+    * The distance to the nearest root, Inf beyond k. Level-synchronous, so
+    * the vertices of the last level are never popped.
     */
   def nearest(off: Array[Int], ids: Array[Int], end: Array[Int], n: Int, roots: Array[Int],
               k: Int): Array[Int] = {
     val dist  = unreached(n)
     val queue = new Array[Int](n)
-    var head = 0; var tail = 0
-    roots.foreach { r => if (dist(r) != 0) { dist(r) = 0; queue(tail) = r; tail += 1 } }
-    while (head < tail) {
-      val x = queue(head); head += 1
-      var j = off(x)
-      while (dist(x) < k && j < off(x + 1)) {
-        val y = end(ids(j))
-        if (dist(y) == Inf) { dist(y) = dist(x) + 1; queue(tail) = y; tail += 1 }
-        j += 1
+    var tail = 0
+    var i = 0
+    while (i < roots.length) {
+      val r = roots(i)
+      if (dist(r) != 0) { dist(r) = 0; queue(tail) = r; tail += 1 }
+      i += 1
+    }
+    var head = 0; var d = 0
+    while (d < k && head < tail) {
+      val level = tail
+      while (head < level) {
+        val x = queue(head); head += 1
+        var j = off(x); val stop = off(x + 1)
+        while (j < stop) {
+          val y = end(ids(j))
+          if (dist(y) == Inf) { dist(y) = d + 1; queue(tail) = y; tail += 1 }
+          j += 1
+        }
       }
+      d += 1
     }
     dist
   }

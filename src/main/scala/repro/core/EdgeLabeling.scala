@@ -31,10 +31,63 @@ final class UpperBoundGraph(
     this(n, k, s, t, edges, labels, labels.count(_ == EdgeLabel.Definite))
 
   def numEdges: Int = edges.length
+
+  /** SPGu's edge-id adjacency, built on first use and read by [[Boundary]]
+    * and every [[Verifier]] on this graph; neither writes to it. Not
+    * serialized: a broadcast copy builds its own once per JVM.
+    */
+  @transient lazy val adjacency: UpperBoundGraph.Adjacency = UpperBoundGraph.Adjacency(this)
+
   def definiteEdges: Iterator[Long] =
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Definite => e }
   def undeterminedEdges: Iterator[Long] =
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Undetermined => e }
+}
+
+object UpperBoundGraph {
+
+  /** Edge-id CSR of SPGu. Edge id e runs from `eSrc(e)` to `eDst(e)`.
+    * `edges` ascend by (src, dst), so grouped by source the ids are the
+    * identity: vertex x's out-edges are ids `outOff(x) until outOff(x+1)`.
+    * Its in-edges are `inIds(inOff(x) until inOff(x+1))`, ascending, so by
+    * ascending source.
+    */
+  final class Adjacency private (
+      val eSrc: Array[Int],
+      val eDst: Array[Int],
+      val outOff: Array[Int],
+      val inOff: Array[Int],
+      val inIds: Array[Int],
+  )
+
+  object Adjacency {
+    /** One pass decodes the edges and counts both degrees, one groups the
+      * ids by target.
+      */
+    def apply(ub: UpperBoundGraph): Adjacency = {
+      val m = ub.numEdges; val n = ub.n
+      val eSrc, eDst = new Array[Int](m)
+      val outOff, inOff = new Array[Int](n + 1)
+      var e = 0
+      while (e < m) {
+        val x = LocalGraph.src(ub.edges(e)); val y = LocalGraph.dst(ub.edges(e))
+        eSrc(e) = x; eDst(e) = y
+        outOff(x + 1) += 1; inOff(y + 1) += 1
+        e += 1
+      }
+      var v = 0
+      while (v < n) { outOff(v + 1) += outOff(v); inOff(v + 1) += inOff(v); v += 1 }
+      new Adjacency(eSrc, eDst, outOff, inOff, grouped(inOff, eDst))
+    }
+
+    /** The edge ids grouped by `end(e)` at offsets `off`, ascending within a group. */
+    private def grouped(off: Array[Int], end: Array[Int]): Array[Int] = {
+      val next = java.util.Arrays.copyOf(off, off.length - 1)
+      val ids  = new Array[Int](end.length)
+      var e = 0; while (e < end.length) { ids(next(end(e))) = e; next(end(e)) += 1; e += 1 }
+      ids
+    }
+  }
 }
 
 /** Algorithm 2 — per-edge labeling against the essential-vertex indexes. */
@@ -140,9 +193,9 @@ object EdgeLabeling {
 
 /** Departures, arrivals and their valid neighbors (Definitions 5.1–5.4).
   *
-  * Computed by a dedicated pass over SPGu implementing the definitions
-  * directly (see DESIGN.md §6). In_D / Out_A are capped at k-2 entries per
-  * Theorem 5.8.
+  * Computed from the two-hop neighbourhoods of s and t in SPGu, implementing
+  * the definitions directly (see DESIGN.md §6). In_D / Out_A are capped at
+  * max(1, k-2) entries per Theorem 5.8.
   */
 final class Boundary(
     val isDeparture: Array[Boolean],
@@ -153,9 +206,9 @@ final class Boundary(
     val outA: Array[Array[Int]],
 ) extends Serializable {
   /** The departure vertices, ascending. */
-  def departures: Array[Int] = Boundary.members(isDeparture)
+  val departures: Array[Int] = Boundary.members(isDeparture)
   /** The arrival vertices, ascending. */
-  def arrivals: Array[Int] = Boundary.members(isArrival)
+  val arrivals: Array[Int] = Boundary.members(isArrival)
 }
 
 object Boundary {
@@ -169,35 +222,58 @@ object Boundary {
     out
   }
 
-  /** Two passes over the ascending `ub.edges`: mark s's out- and t's
-    * in-neighbors, then file each e(x,v) under In_D(v) and Out_A(x). So every
-    * list ascends and keeps its first max(1, k-2) entries (Theorem 5.8).
+  /** In_D from s's out-edges and then each such x's out-edges; Out_A from
+    * t's in-edges and then each such v's in-edges. Both outer and inner
+    * loops ascend, so every list ascends and keeps its first max(1, k-2)
+    * entries (Theorem 5.8). Each side walks its two hops twice: once to
+    * size the lists, once to fill them.
     */
   def compute(ub: UpperBoundGraph): Boundary = {
-    import LocalGraph.{dst, src}
-    val (s, t) = (ub.s, ub.t)
     val cap = math.max(1, ub.k - 2)
-    val fromS, intoT = new Array[Boolean](ub.n)
-    for (i <- ub.edges.indices) {
-      val e = ub.edges(i)
-      if (src(e) == s) fromS(dst(e)) = true
-      if (dst(e) == t) intoT(src(e)) = true
-    }
     val inD, outA = new Array[Array[Int]](ub.n)
-    def add(lists: Array[Array[Int]], v: Int, x: Int): Unit = {
-      val l = lists(v)
-      if (l == null) lists(v) = Array(x)
-      else if (l.length < cap) { lists(v) = java.util.Arrays.copyOf(l, l.length + 1); lists(v)(l.length) = x }
+    val isDeparture, isArrival = new Array[Boolean](ub.n)
+    val len = new Array[Int](ub.n)
+    twoHop(ub, forward = true, inD, isDeparture, len, cap, fill = false)
+    twoHop(ub, forward = true, inD, isDeparture, len, cap, fill = true)
+    twoHop(ub, forward = false, outA, isArrival, len, cap, fill = false)
+    twoHop(ub, forward = false, outA, isArrival, len, cap, fill = true)
+    new Boundary(isDeparture, isArrival, inD, outA)
+  }
+
+  /** Forward, Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t
+    * distinct and e(s,x), e(x,v) ∈ SPGu; x is filed under `lists(v)`.
+    * Backward, Definition 5.3: x ∈ A iff ∃ out-neighbor v with x,v,s,t
+    * distinct and e(x,v), e(v,t) ∈ SPGu; v is filed under `lists(x)`.
+    * Without `fill`, counts each list's length, up to `cap`, into `len`;
+    * with it, allocates each list at that length and fills it, which
+    * leaves `len` all zero again.
+    */
+  private def twoHop(ub: UpperBoundGraph, forward: Boolean, lists: Array[Array[Int]], member: Array[Boolean],
+                     len: Array[Int], cap: Int, fill: Boolean): Unit = {
+    val adj = ub.adjacency
+    // Forward walks out-edges from s and files no t; backward walks in-edges
+    // from t and files no s.
+    val (root, shun) = if (forward) (ub.s, ub.t) else (ub.t, ub.s)
+    val (off, ids, end) = if (forward) (adj.outOff, null, adj.eDst) else (adj.inOff, adj.inIds, adj.eSrc)
+    var i = off(root)
+    while (i < off(root + 1)) {
+      val mid = end(if (ids == null) i else ids(i))
+      var j = off(mid)
+      while (j < off(mid + 1)) {
+        val w = end(if (ids == null) j else ids(j))
+        // One branch for all four distinctness tests (`&`, not `&&`): a
+        // direct s-t edge alone, rare in any query mix, would otherwise be
+        // a branch compiled code has never seen taken.
+        if ((mid != shun) & (w != root) & (w != shun) & (w != mid)) {
+          if (!fill) { if (len(w) < cap) len(w) += 1 }
+          else if (len(w) > 0) {
+            if (lists(w) == null) { lists(w) = new Array[Int](len(w)); member(w) = true }
+            val l = lists(w); l(l.length - len(w)) = mid; len(w) -= 1
+          }
+        }
+        j += 1
+      }
+      i += 1
     }
-    for (i <- ub.edges.indices) {
-      val x = src(ub.edges(i)); val v = dst(ub.edges(i))
-      // Definition 5.1: v ∈ D iff ∃ in-neighbor x with x,v,s,t distinct and
-      // e(s,x), e(x,v) ∈ SPGu.
-      if (fromS(x) && x != t && v != s && v != t && v != x) add(inD, v, x)
-      // Definition 5.3: x ∈ A iff ∃ out-neighbor v with x,v,s,t distinct and
-      // e(x,v), e(v,t) ∈ SPGu.
-      if (intoT(v) && v != s && x != t && x != s && x != v) add(outA, x, v)
-    }
-    new Boundary(inD.map(_ != null), outA.map(_ != null), inD, outA)
   }
 }

@@ -51,6 +51,10 @@ final case class EveStats(
     evFrontier: Long = 0,
     /** EV set intersections ([[VSet.keepIn]] calls) both propagations made. */
     evMerges: Long = 0,
+    /** Departure vertices of SPGu (Definition 5.1); 0 for k ≤ 4, which skips verification. */
+    departures: Int = 0,
+    /** Arrival vertices of SPGu (Definition 5.3); 0 for k ≤ 4. */
+    arrivals: Int = 0,
 ) {
   def totalNs: Long = distNs + propagateNs + labelNs + verifyNs
 }
@@ -130,7 +134,8 @@ object Eve {
     val t3 = System.nanoTime()
 
     // Theorem 4.8: for k ≤ 4 SPGu = SPG, no verification needed.
-    val verifier = if (k <= 4) null else new Verifier(ub, Boundary.compute(ub), config.ordering, deadline)
+    val boundary = if (k <= 4) null else Boundary.compute(ub)
+    val verifier = if (boundary == null) null else new Verifier(ub, boundary, config.ordering, deadline)
     val spg      = if (verifier == null) ub.edges else verifier.spgEdges()
     val edges    = if (cor == null) spg else cor.global(spg)
     val t4 = System.nanoTime()
@@ -158,6 +163,8 @@ object Eve {
         bfsReachedB = reachedB,
         evFrontier = evF.frontier + evB.frontier,
         evMerges = evF.merges + evB.merges,
+        departures = if (boundary == null) 0 else boundary.departures.length,
+        arrivals = if (boundary == null) 0 else boundary.arrivals.length,
       ),
     )
   }

@@ -45,31 +45,34 @@ final class Verifier(
 ) {
   private val k = ub.k
   private val m = ub.numEdges
-  private val eSrc = new Array[Int](m)
-  private val eDst = new Array[Int](m)
+  // SPGu's shared edge-id CSR (UpperBoundGraph.adjacency); only the §5.3
+  // order below is this verifier's own.
+  private val adj    = ub.adjacency
+  private val eSrc   = adj.eSrc
+  private val eDst   = adj.eDst
+  private val outOff = adj.outOff
+  private val inOff  = adj.inOff
   /** SPG membership per edge id; definite edges are in from the start. */
-  private val inSpg = new Array[Boolean](m)
-  Verifier.decode(ub, eSrc, eDst, inSpg)
-
-  // Edge ids by source / by target (CSR): SPGu's only adjacency. `ub.edges`
-  // ascend by (src, dst), so by source they are already grouped.
-  private val outOff = Verifier.offsets(eSrc, ub.n)
-  private val outIds = Array.range(0, m)
-  private val inOff  = Verifier.offsets(eDst, ub.n)
-  private val inIds  = Verifier.grouped(inOff, eDst)
+  private val inSpg = Verifier.definite(ub)
   // Hops from each vertex to the nearest arrival and from the nearest
-  // departure over SPGu, ignoring simplicity: lower bounds for cut (c), so
-  // a BFS to depth k-4 suffices; Inf beyond.
-  private val toArrival     = Bfs.nearest(inOff, inIds, eSrc, ub.n, boundary.arrivals, k - 4)
-  private val fromDeparture = Bfs.nearest(outOff, outIds, eDst, ub.n, boundary.departures, k - 4)
+  // departure over SPGu, ignoring simplicity: lower bounds for cut (c). Every
+  // budget they are tested against is at most k-5, so a BFS to depth k-5
+  // suffices; Inf beyond.
+  private val outIds = Array.range(0, m)
+  private val toArrival     = Bfs.nearest(inOff, adj.inIds, eSrc, ub.n, boundary.arrivals, k - 5)
+  private val fromDeparture = Bfs.nearest(outOff, outIds, eDst, ub.n, boundary.departures, k - 5)
   // §5.3 reorders each vertex's ids, so offsets stay: out-edges by the
   // head's distance to the nearest arrival, arrivals by |Out_A| descending;
   // in-edges by the tail's distance from the nearest departure, departures
-  // by |In_D| descending.
-  if (ordering) {
-    Verifier.order(outOff, eSrc, eDst, toArrival, boundary.outA, k, outIds)
-    Verifier.order(inOff, eDst, eSrc, fromDeparture, boundary.inD, k, inIds)
-  }
+  // by |In_D| descending. The out-order overwrites the identity.
+  private val inIds =
+    if (!ordering) adj.inIds
+    else {
+      Verifier.order(Verifier.byKey(toArrival, boundary.outA, k), inOff, adj.inIds, eSrc, outOff, outIds)
+      val ids = new Array[Int](m)
+      Verifier.order(Verifier.byKey(fromDeparture, boundary.inD, k), outOff, null, eDst, inOff, ids)
+      ids
+    }
 
   private val onStack = new Array[Boolean](ub.n)
   private val stack   = new Array[Int](k) // witness path edge ids; q* has ≤ k-4
@@ -223,55 +226,55 @@ final class Verifier(
   */
 object Verifier {
 
-  /** Endpoints and definite flags of every SPGu edge id. */
-  private def decode(ub: UpperBoundGraph, eSrc: Array[Int], eDst: Array[Int], inSpg: Array[Boolean]): Unit = {
-    var e = 0
-    while (e < ub.numEdges) {
-      eSrc(e) = LocalGraph.src(ub.edges(e)); eDst(e) = LocalGraph.dst(ub.edges(e))
-      inSpg(e) = ub.labels(e) == EdgeLabel.Definite
-      e += 1
-    }
+  /** SPG membership seeded with the definite edges. */
+  private def definite(ub: UpperBoundGraph): Array[Boolean] = {
+    val in = new Array[Boolean](ub.numEdges)
+    var e = 0; while (e < in.length) { in(e) = ub.labels(e) == EdgeLabel.Definite; e += 1 }
+    in
   }
 
-  /** CSR offsets (length n+1) of the edge ids grouped by `end(e)` in [0, n). */
-  private def offsets(end: Array[Int], n: Int): Array[Int] = {
-    val off = new Array[Int](n + 1)
-    var e = 0; while (e < end.length) { off(end(e) + 1) += 1; e += 1 }
-    var v = 0; while (v < n) { off(v + 1) += off(v); v += 1 }
-    off
-  }
-
-  /** The edge ids grouped by `end(e)` at offsets `off`, ascending within a group. */
-  private def grouped(off: Array[Int], end: Array[Int]): Array[Int] = {
-    val next = java.util.Arrays.copyOf(off, off.length - 1)
-    val ids  = new Array[Int](end.length)
-    var e = 0; while (e < end.length) { ids(next(end(e))) = e; next(end(e)) += 1; e += 1 }
-    ids
-  }
-
-  /** Rewrites `ids` to the edge ids grouped by `by(e)` at offsets `off` and,
-    * within a group, in §5.3's order of their other endpoint w = `end(e)`:
-    * `dist(w)` ascending, then |`sets(w)`| descending (a set holds ≤ k
-    * vertices, Theorem 5.8); ties keep id order. Distances from k-3 on share
-    * the last rank, as cut (c) never follows such an edge. One stable
-    * counting sort by that key, then a stable regrouping; `ids` holds the
-    * keys in between.
+  /** The vertices in §5.3's order: `dist` ascending, then |`sets(w)`|
+    * descending (a set holds ≤ k vertices, Theorem 5.8), ties ascending.
+    * Distances from k-5 on share the last rank: cut (c) follows no edge to
+    * such a vertex. One stable counting sort over the n vertices.
     */
-  private def order(off: Array[Int], by: Array[Int], end: Array[Int], dist: Array[Int],
-                    sets: Array[Array[Int]], k: Int, ids: Array[Int]): Unit = {
-    val m = ids.length; val cap = math.max(k - 3, 0)
+  private def byKey(dist: Array[Int], sets: Array[Array[Int]], k: Int): Array[Int] = {
+    val n = dist.length; val cap = math.max(k - 5, 0)
     val count = new Array[Int]((cap + 1) * (k + 1) + 1)
-    var e = 0
-    while (e < m) {
-      val w = end(e)
-      ids(e) = math.min(dist(w), cap) * (k + 1) + k - (if (sets(w) == null) 0 else sets(w).length)
-      count(ids(e) + 1) += 1
-      e += 1
+    val key = new Array[Int](n)
+    var w = 0
+    while (w < n) {
+      key(w) = math.min(dist(w), cap) * (k + 1) + k - (if (sets(w) == null) 0 else sets(w).length)
+      count(key(w) + 1) += 1
+      w += 1
     }
     var b = 1; while (b < count.length) { count(b) += count(b - 1); b += 1 }
-    val byKey = new Array[Int](m)
-    e = 0; while (e < m) { byKey(count(ids(e))) = e; count(ids(e)) += 1; e += 1 }
+    val order = new Array[Int](n)
+    w = 0; while (w < n) { order(count(key(w))) = w; count(key(w)) += 1; w += 1 }
+    order
+  }
+
+  /** Writes into `ids` the edge ids grouped by their `by` endpoint at
+    * offsets `off`, each group in the order of the other endpoint w given by
+    * `ws`: walks w in that order and appends each of w's edges, the ids
+    * `wIds(wOff(w) until wOff(w+1))` (the identity where `wIds` is null), to
+    * the group of its `by` endpoint. A group gets at most one edge per w, so
+    * ties keep ascending w, which is id order.
+    */
+  private def order(ws: Array[Int], wOff: Array[Int], wIds: Array[Int], by: Array[Int],
+                    off: Array[Int], ids: Array[Int]): Unit = {
     val next = java.util.Arrays.copyOf(off, off.length - 1)
-    var i = 0; while (i < m) { e = byKey(i); ids(next(by(e))) = e; next(by(e)) += 1; i += 1 }
+    var i = 0
+    while (i < ws.length) {
+      val w = ws(i)
+      var j = wOff(w)
+      while (j < wOff(w + 1)) {
+        val e = if (wIds == null) j else wIds(j)
+        val x = by(e)
+        ids(next(x)) = e; next(x) += 1
+        j += 1
+      }
+      i += 1
+    }
   }
 }

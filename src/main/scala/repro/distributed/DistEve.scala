@@ -174,7 +174,8 @@ object DistEve {
 
     // Phase 3: verification. The upper-bound graph is query-local and small;
     // broadcast it and verify undetermined edge ids in parallel shards. Each
-    // shard returns its SPG membership bitset (definite edges included).
+    // shard returns its SPG membership bitset (definite edges included). The
+    // shards of one JVM share the broadcast graph's adjacency, built once.
     val result: Seq[Long] =
       if (k <= 4) ub.edges.toSeq
       else {

@@ -141,6 +141,15 @@ class EveSpec extends SparkSpec {
     assert(st.evFrontier == 10 && st.evMerges == 2, s"frontier ${st.evFrontier}, merges ${st.evMerges}")
   }
 
+  test("paper graph: boundary counters match Example 5.5") {
+    import PaperGraph._
+    // k=7: departures {b,c,h,i}, arrivals {a,c,h}.
+    val k7 = Eve.run(graph, s, t, 7).stats
+    assert(k7.departures == 4 && k7.arrivals == 3, s"departures ${k7.departures}, arrivals ${k7.arrivals}")
+    val k4 = Eve.run(graph, s, t, 4).stats
+    assert(k4.departures == 0 && k4.arrivals == 0, "k<=4 skips verification")
+  }
+
   /** Everything `Eve.run` reports but the phase times. */
   private def answer(r: EveResult): Seq[Any] = {
     val st = r.stats
@@ -229,7 +238,8 @@ class EveSpec extends SparkSpec {
 
     private final class Replica(val edges: Array[Long], val ub: UpperBoundGraph, val definite: Int,
                                 val steps: Long, val skipped: Int, val maxFrames: Long, val noBackward: Long,
-                                val frontier: Long, val merges: Long)
+                                val frontier: Long, val merges: Long,
+                                val departures: Int = 0, val arrivals: Int = 0)
 
     private def replica(g: LocalGraph, s: Int, t: Int, k: Int, cfg: EveConfig): Replica = {
       val d = Bfs.distances(g, s, t, k, cfg.search)
@@ -242,9 +252,11 @@ class EveSpec extends SparkSpec {
       val (frontier, merges) = (evF.frontier + evB.frontier, evF.merges + evB.merges)
       if (k <= 4) new Replica(ub.edges, ub, definite, 0, 0, 0, 0, frontier, merges)
       else {
-        val v = new Verifier(ub, Boundary.compute(ub), cfg.ordering, Deadline.None)
+        val bd = Boundary.compute(ub)
+        val v  = new Verifier(ub, bd, cfg.ordering, Deadline.None)
         val edges = v.spgEdges()
-        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps, v.backwardSkipped, frontier, merges)
+        new Replica(edges, ub, definite, v.steps, v.skipped, v.maxSteps, v.backwardSkipped, frontier, merges,
+          bd.departures.length, bd.arrivals.length)
       }
     }
 
@@ -283,6 +295,7 @@ class EveSpec extends SparkSpec {
           assert(st.backwardSkipped == ref.noBackward, q)
           assert(st.evFrontier == ref.frontier, q)
           assert(st.evMerges == ref.merges, q)
+          assert(st.departures == ref.departures && st.arrivals == ref.arrivals, q)
         }
       }
     }

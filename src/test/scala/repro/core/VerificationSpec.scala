@@ -158,6 +158,47 @@ class VerificationSpec extends SparkSpec {
     }
   }
 
+  // The same sums at k=5, where cut (c)'s distances are only ever read at
+  // depth 0, and without the §5.3 order (Fig. 11's "+Adaptive").
+  for ((name, k, cfg, steps, skipped, spg) <- Seq(
+         ("wn", 5, EveConfig.Default, 386038L, 0L, 239794L),
+         ("wn", 6, EveConfig(ordering = false), 1576324L, 42155L, 643866L))) {
+    test(s"verification work is pinned on $name (k=$k, ordering=${cfg.ordering})") {
+      val g  = GraphGen.dataset(name).build()
+      val st = GraphGen.queries(g, k, 12, seed = 77).map { case (s, t) => Eve.run(g, s, t, k, cfg).stats }
+      assert((st.map(_.verifySteps).sum, st.map(_.witnessSkipped.toLong).sum, st.map(_.resultEdges.toLong).sum) ==
+        ((steps, skipped, spg)))
+    }
+  }
+
+  test("verifier set-up on a dense corridor allocates in a few linear passes (wn, k=6)") {
+    val g = GraphGen.dataset("wn").build() // 4,000 vertices, d_avg 18, power-law
+    val k = 6
+    val ubs = GraphGen.queries(g, k, 20, seed = 3).map { case (s, t) =>
+      val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, Bfs.SearchMode.Adaptive, Deadline.None); Corridor(g, sc, k) }
+      val (cs, ct) = (cor.local(s), cor.local(t))
+      val evF = EssentialVertices.propagate(cor.graph, cs, ct, k, cor.dists.fromAll, pruning = true)
+      val evB = EssentialVertices.propagate(cor.graph.reverse, ct, cs, k, cor.dists.toAll, pruning = true)
+      EdgeLabeling.upperBound(cor.graph, cs, ct, k, cor.dists, evF, evB)
+    }
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    // A fresh graph per pass, so that its shared adjacency is built and counted.
+    def perQuery(): Long = {
+      val fresh = ubs.map(ub => new UpperBoundGraph(ub.n, ub.k, ub.s, ub.t, ub.edges, ub.labels, ub.numDefinite))
+      val a0 = mx.getCurrentThreadAllocatedBytes
+      for (ub <- fresh) new Verifier(ub, Boundary.compute(ub), ordering = true, Deadline.None)
+      (mx.getCurrentThreadAllocatedBytes - a0) / fresh.length
+    }
+    perQuery()
+    val got = perQuery()
+    info(s"Boundary.compute + new Verifier allocate ${got / 1024} KB per query")
+    // Measured at 1,451 KB per query: the shared adjacency's three edge-id
+    // arrays, the two orders and the SPG flags. Per-edge order keys, two
+    // m-sized sort buffers and a copy per In_D/Out_A entry took 1,654 KB.
+    assert(got < 1536 * 1024, s"$got bytes per query")
+  }
+
   test("deadline aborts verification with DeadlineExceeded") {
     val g = GraphGen.uniform(60, 600, 7)
     intercept[DeadlineExceeded] {
