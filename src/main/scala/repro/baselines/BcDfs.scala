@@ -23,7 +23,7 @@ object BcDfs {
     */
   def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
       onPath: ArrayBuffer[Int] => Unit): Long = {
-    val distB = Bfs.bounded(g.inAdj, g.n, t, k)
+    val distB = Bfs.bounded(g.inOff, g.inSrc, t, k)
     if (distB(s) > k) return 0L
     var count   = 0L
     var steps   = 0
@@ -39,9 +39,9 @@ object BcDfs {
       if (budget == 0) return (false, false)
       var found     = false
       var stackDep  = false
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         if (onStack(nxt)) {
           // A potential continuation was blocked by the stack: any failure
           // below cur may be stack-dependent.

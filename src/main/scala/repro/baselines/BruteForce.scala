@@ -19,9 +19,9 @@ object BruteForce {
     def dfs(cur: Int): Unit = {
       if (cur == t) { out += stack.toSeq; return }
       if (stack.length - 1 >= k) return
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         if (!onStack(nxt)) {
           onStack(nxt) = true; stack += nxt
           dfs(nxt)
@@ -45,9 +45,9 @@ object BruteForce {
       if ((steps & 0xfff) == 0) Deadline.check(deadline)
       if (cur == t) { count += 1; return }
       if (depth >= k) return
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         if (!onStack(nxt)) {
           onStack(nxt) = true
           dfs(nxt, depth + 1)
@@ -72,9 +72,9 @@ object BruteForce {
       if ((steps & 0xfff) == 0) Deadline.check(deadline)
       if (cur == t) { stackE.foreach(edges += _); return }
       if (depth >= k) return
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         if (!onStack(nxt)) {
           onStack(nxt) = true; stackE += LocalGraph.enc(cur, nxt)
           dfs(nxt, depth + 1)
@@ -103,9 +103,9 @@ object BruteForce {
         return
       }
       if (stack.length - 1 >= l) return
-      val a = g.outAdj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         if (!onStack(nxt) && nxt != excluded && nxt != source) {
           onStack(nxt) = true; stack += nxt
           dfs(nxt)

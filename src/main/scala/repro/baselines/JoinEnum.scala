@@ -20,8 +20,7 @@ object JoinEnum {
   private type Partial = Array[Int]
 
   private def collectPartials(
-      adj: Array[Array[Int]],
-      n: Int,
+      g: LocalGraph,
       root: Int,
       other: Int,
       maxLen: Int,
@@ -31,7 +30,7 @@ object JoinEnum {
   ): mutable.LongMap[ArrayBuffer[Partial]] = {
     // key = meet vertex (Long for LongMap); value = partials ending there.
     val buckets = new mutable.LongMap[ArrayBuffer[Partial]]()
-    val onStack = new Array[Boolean](n)
+    val onStack = new Array[Boolean](g.n)
     val stack   = new ArrayBuffer[Int]()
     var steps   = 0
     def record(v: Int): Unit =
@@ -41,9 +40,9 @@ object JoinEnum {
       if ((steps & 0xfff) == 0) Deadline.check(deadline)
       record(cur)
       if (stack.length - 1 >= maxLen || cur == other) return
-      val a = adj(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         // Budget pruning: a partial of length L can only be part of a ≤k
         // path if L + Δ(nxt, other) ≤ k.
         if (!onStack(nxt) && distOther(nxt) <= k - stack.length) {
@@ -62,15 +61,15 @@ object JoinEnum {
   /** Enumerate paths; `onPath` receives the full s..t vertex sequence. */
   def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
       onPath: Array[Int] => Unit): Long = {
-    val distF = Bfs.bounded(g.outAdj, g.n, s, k)
-    val distB = Bfs.bounded(g.inAdj, g.n, t, k)
+    val distF = Bfs.bounded(g.outOff, g.outDst, s, k)
+    val distB = Bfs.bounded(g.inOff, g.inSrc, t, k)
     if (distB(s) > k) return 0L
     val fMax = (k + 1) / 2
     val bMax = k / 2
     // Forward partials s..meet: prune by remaining distance to t.
-    val fwd = collectPartials(g.outAdj, g.n, s, t, fMax, distB, k, deadline)
+    val fwd = collectPartials(g, s, t, fMax, distB, k, deadline)
     // Backward partials meet..t enumerated over G^r from t: prune by distance from s.
-    val bwd = collectPartials(g.inAdj, g.n, t, s, bMax, distF, k, deadline)
+    val bwd = collectPartials(g.reverse, t, s, bMax, distF, k, deadline)
 
     var count = 0L
     var probes = 0

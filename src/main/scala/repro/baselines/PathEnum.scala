@@ -18,42 +18,37 @@ object PathEnum {
 
   /** The per-query lightweight index. */
   final class Index(
-      val n: Int,
       val k: Int,
       val s: Int,
       val t: Int,
       val distF: Array[Int],
       val distB: Array[Int],
-      val out: Array[Array[Int]],
-      val in: Array[Array[Int]],
-  ) {
-    /** The pruned search space as a standalone graph (= G^k_st). Adjacency
-      * keeps the index's distance order, not id order — enumeration only.
-      */
-    def asGraph: LocalGraph = new LocalGraph(n, out, in)
-  }
+      /** The pruned search space as a standalone graph (= G^k_st). Its
+        * lists keep the index's distance order, not id order, so
+        * `hasEdge` does not apply — enumeration only.
+        */
+      val asGraph: LocalGraph,
+  )
 
   def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int): Index = {
     val dists = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
     val gst   = LocalGraph.fromEncodedEdges(g.n, Bfs.window(g, dists, k))
-    val out   = gst.outAdj
-    val in    = gst.inAdj
     // Sort out-neighbors closest-to-target first (and symmetrically), the
     // index ordering PathEnum's DFS relies on for early termination.
     var w = 0
     while (w < g.n) {
-      if (out(w).length > 1) LocalGraph.sortBy(out(w), dists.toT(_).toLong)
-      if (in(w).length > 1) LocalGraph.sortBy(in(w), dists.fromS(_).toLong)
+      LocalGraph.sortBy(gst.outDst, gst.outOff(w), gst.outOff(w + 1), dists.toT(_).toLong)
+      LocalGraph.sortBy(gst.inSrc, gst.inOff(w), gst.inOff(w + 1), dists.fromS(_).toLong)
       w += 1
     }
-    new Index(g.n, k, s, t, dists.toAll, dists.fromAll, out, in)
+    new Index(k, s, t, dists.toAll, dists.fromAll, gst)
   }
 
   /** Sparse walk-count DP over the index: level l maps vertex -> number of
     * exactly-l-hop walks from `root` inside the pruned space (Double to
     * tolerate explosion). Optimizer only.
     */
-  private def walkCounts(adj: Array[Array[Int]], root: Int, k: Int): Array[mutable.LongMap[Double]] = {
+  private def walkCounts(g: LocalGraph, root: Int, k: Int): Array[mutable.LongMap[Double]] = {
     val levels = Array.fill(k + 1)(mutable.LongMap.empty[Double])
     levels(0)(root.toLong) = 1.0
     var l = 1
@@ -61,9 +56,9 @@ object PathEnum {
       val prev = levels(l - 1)
       val cur  = levels(l)
       prev.foreachEntry { (uL, cu) =>
-        val a = adj(uL.toInt); var j = 0
-        while (j < a.length) {
-          val v = a(j).toLong
+        var j = g.outOff(uL.toInt)
+        while (j < g.outOff(uL.toInt + 1)) {
+          val v = g.outDst(j).toLong
           cur(v) = cur.getOrElse(v, 0.0) + cu
           j += 1
         }
@@ -80,7 +75,7 @@ object PathEnum {
     * canonical middle split).
     */
   private[baselines] def chooseJoin(idx: Index): Boolean = {
-    val wf   = walkCounts(idx.out, idx.s, idx.k)
+    val wf   = walkCounts(idx.asGraph, idx.s, idx.k)
     val fMax = (idx.k + 1) / 2
     var dfsCost = 0.0
     var fwdCost = 0.0
@@ -92,7 +87,7 @@ object PathEnum {
       if (l <= fMax) fwdCost += lvl
       l += 1
     }
-    val wb = walkCounts(idx.in, idx.t, idx.k / 2)
+    val wb = walkCounts(idx.asGraph.reverse, idx.t, idx.k / 2)
     var bwdCost = 0.0
     l = 1
     while (l <= idx.k / 2) {
@@ -125,7 +120,8 @@ object PathEnum {
   private def dfsEnumerate(idx: Index, deadline: Long)(onPath: ArrayBuffer[Int] => Unit): Long = {
     var count   = 0L
     var steps   = 0
-    val onStack = new Array[Boolean](idx.n)
+    val g       = idx.asGraph
+    val onStack = new Array[Boolean](g.n)
     val stack   = new ArrayBuffer[Int]()
     val k       = idx.k
     def dfs(cur: Int, depth: Int): Unit = {
@@ -133,9 +129,9 @@ object PathEnum {
       if ((steps & 0xfff) == 0) Deadline.check(deadline)
       if (cur == idx.t) { count += 1; onPath(stack); return }
       if (depth >= k) return
-      val a = idx.out(cur); var j = 0
-      while (j < a.length) {
-        val nxt = a(j)
+      var j = g.outOff(cur)
+      while (j < g.outOff(cur + 1)) {
+        val nxt = g.outDst(j)
         // Index adjacency is sorted by Δ(·,t); once the remaining budget is
         // insufficient for the closest remaining neighbor, stop early.
         if (idx.distB(nxt) > k - depth - 1) return

@@ -12,16 +12,19 @@ import scala.collection.mutable
   *  - [[SearchMode.Single]]      — two full k-bounded BFS (from s over G and
   *                                 from t over G^r), the KHSQ strategy;
   *  - [[SearchMode.BiDir]]       — bi-directional BFS with equal depths
-  *                                 ⌈k/2⌉/⌊k/2⌋, then each side continues for
-  *                                 the remaining steps restricted to vertices
-  *                                 the opposite side explored;
+  *                                 ⌈(k−1)/2⌉/⌊(k−1)/2⌋, then each side
+  *                                 continues for the remaining steps
+  *                                 restricted to vertices the opposite side
+  *                                 explored close enough to the other end;
   *  - [[SearchMode.Adaptive]]    — same, but each step advances whichever
   *                                 frontier is currently smaller (Adaptive
   *                                 Bi-directional Search [2,21]).
   *
   * All three return exact Δ(s,y) and Δ(y,t) for every y with
   * Δ(s,y)+Δ(y,t) ≤ k (property-tested), encoded as Int arrays with
-  * [[Bfs.Inf]] for "unknown / > k". Every search over vertex adjacency runs
+  * [[Bfs.Inf]] for "unknown / > k". Phase 1 of the bi-directional modes
+  * stops at depth sum k−1, not §3.3's k (DESIGN.md §6 gives the argument).
+  * Every search over a [[LocalGraph]] CSR runs
   * on one level-synchronous queue kernel over a pooled [[Bfs.Scratch]], so a
   * query touches only the vertices it reaches; [[Bfs.distances]] and
   * [[Bfs.bounded]] copy its arrays out. [[Bfs.nearest]] is the one search
@@ -74,19 +77,19 @@ object Bfs {
     }
 
     /** Levels until depth k or an empty frontier: every still-unreached
-      * neighbor y over `adj` of a frontier vertex gets distance depth+1, when
-      * `within` is given only if `within(y) ≤ limit`. Checks `deadline`
-      * after each level.
+      * neighbor y over the CSR `off`/`nbr` of a frontier vertex gets distance
+      * depth+1, when `within` is given only if depth+1 + `within(y)` ≤ k.
+      * Checks `deadline` after each level.
       */
-    private[Bfs] def expand(adj: Array[Array[Int]], k: Int, within: Array[Int], limit: Int, deadline: Long,
+    private[Bfs] def expand(off: Array[Int], nbr: Array[Int], k: Int, within: Array[Int], deadline: Long,
                             levels: Int = Int.MaxValue): Unit = {
       var l = 0
       while (l < levels && depth < k && head < tail) {
-        val end = tail; var i = head
+        val end = tail; val limit = k - depth - 1; var i = head
         while (i < end) {
-          val a = adj(queue(i)); var j = 0
-          while (j < a.length) {
-            val y = a(j)
+          val x = queue(i); var j = off(x); val stop = off(x + 1)
+          while (j < stop) {
+            val y = nbr(j)
             if (dist(y) == Inf && (within == null || within(y) <= limit)) visit(y, depth + 1)
             j += 1
           }
@@ -121,25 +124,28 @@ object Bfs {
     def search(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode, deadline: Long): Unit = {
       fwd.visit(s, 0); bwd.visit(t, 0)
       val bidirectional = mode != SearchMode.Single
-      // Bi-directional phase 1: split the total depth budget k between the sides.
-      while (bidirectional && fwd.depth + bwd.depth < k && (fwd.head < fwd.tail || bwd.head < bwd.tail)) {
+      // Bi-directional phase 1: split the depth budget k−1 between the sides.
+      // A corridor vertex y that neither side reaches would have
+      // Δ(s,y)+Δ(y,t) ≥ (depthF+1)+(depthB+1) = k+1, so each lies in one
+      // side's phase-1 ball.
+      while (bidirectional && fwd.depth + bwd.depth < k - 1 && (fwd.head < fwd.tail || bwd.head < bwd.tail)) {
         val sizeF = fwd.tail - fwd.head; val sizeB = bwd.tail - bwd.head
         val forward =
           if (sizeF == 0) false
           else if (sizeB == 0) true
           else if (mode == SearchMode.Adaptive) sizeF <= sizeB
-          else fwd.depth <= bwd.depth // strict alternation, forward first (⌈k/2⌉ / ⌊k/2⌋)
-        if (forward) fwd.expand(g.outAdj, k, null, Inf, deadline, levels = 1)
-        else bwd.expand(g.inAdj, k, null, Inf, deadline, levels = 1)
+          else fwd.depth <= bwd.depth // strict alternation, forward first (⌈(k−1)/2⌉ / ⌊(k−1)/2⌋)
+        if (forward) fwd.expand(g.outOff, g.outDst, k, null, deadline, levels = 1)
+        else bwd.expand(g.inOff, g.inSrc, k, null, deadline, levels = 1)
       }
-      // Each side continues to depth k; after phase 1, restricted to the
-      // vertices the opposite side explored in it. The forward continuation
-      // never writes bwd.dist, so every finite entry ≤ its depth is a phase-1
-      // visit; it only assigns forward depths above depthF, so
-      // fwd.dist(y) ≤ depthF still selects the phase-1 forward visits.
-      val depthF = fwd.depth
-      fwd.expand(g.outAdj, k, if (bidirectional) bwd.dist else null, bwd.depth, deadline)
-      bwd.expand(g.inAdj, k, if (bidirectional) fwd.dist else null, depthF, deadline)
+      // Each side continues to depth k; after phase 1, a vertex reached at
+      // depth d+1 must lie within k−d−1 of the other end by the opposite
+      // side's distances. Phase 1 ends at depth sum k−1 (or with both
+      // frontiers empty), so that bound never exceeds the opposite side's
+      // phase-1 depth: the test reads only phase-1 visits, which are exact,
+      // and never the forward continuation's own deeper entries.
+      fwd.expand(g.outOff, g.outDst, k, if (bidirectional) bwd.dist else null, deadline)
+      bwd.expand(g.inOff, g.inSrc, k, if (bidirectional) fwd.dist else null, deadline)
     }
 
     /** Copies of both distance arrays, independent of this scratch. */
@@ -226,13 +232,18 @@ object Bfs {
     dist
   }
 
-  /** Plain k-bounded BFS over the given adjacency from `root`. */
-  def bounded(adj: Array[Array[Int]], n: Int, root: Int, k: Int): Array[Int] =
+  /** Plain k-bounded BFS from `root` over a CSR: vertex x's neighbors are
+    * `nbr(off(x) until off(x+1))`, so `g.outOff, g.outDst` searches G and
+    * `g.inOff, g.inSrc` searches G^r.
+    */
+  def bounded(off: Array[Int], nbr: Array[Int], root: Int, k: Int): Array[Int] = {
+    val n = off.length - 1
     withScratch(n) { sc =>
       sc.fwd.visit(root, 0)
-      sc.fwd.expand(adj, k, null, Inf, Deadline.None)
+      sc.fwd.expand(off, nbr, k, null, Deadline.None)
       java.util.Arrays.copyOf(sc.fwd.dist, n)
     }
+  }
 
   /** Compute Δ(s,·) and Δ(·,t) bounded by k with the requested strategy. */
   def distances(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode): Dists =
@@ -252,9 +263,10 @@ object Bfs {
     while (u < g.n) {
       val du = d.fromS(u)
       if (du < k) {
-        val a = g.outAdj(u); var j = 0
-        while (j < a.length) {
-          if (inWindow(du, d.toT(a(j)), k)) out += LocalGraph.enc(u, a(j))
+        var j = g.outOff(u)
+        while (j < g.outOff(u + 1)) {
+          val v = g.outDst(j)
+          if (inWindow(du, d.toT(v), k)) out += LocalGraph.enc(u, v)
           j += 1
         }
       }

@@ -40,7 +40,8 @@ object Corridor {
     * finite, Δ(s,·) and was reached forward. Elsewhere the distances only
     * over-estimate (every [[Bfs.SearchMode]] guarantees this), so the vertex
     * and edge tests below select exactly G^k_st. Builds in O(reached +
-    * corridor edges) and overwrites the forward distance of each corridor
+    * out-edges of the corridor vertices), with the CSR's four arrays as the
+    * graph's only allocations, and overwrites the forward distance of each corridor
     * vertex with its local id, so release `sc` afterwards.
     */
   def apply(g: LocalGraph, sc: Bfs.Scratch, k: Int): Corridor = {
@@ -57,34 +58,27 @@ object Corridor {
     val lF = new Array[Int](c); val lB = new Array[Int](c)
     i = 0
     while (i < c) { val y = ids(i); lF(i) = dF(y); lB(i) = dB(y); dF(y) = i; i += 1 }
-    val outAdj = new Array[Array[Int]](c)
-    val inDeg  = new Array[Int](c)
-    var row = new Array[Int](16) // one vertex's window out-neighbors
+    // Window out-degrees, then the window out-neighbors in local ids. Both
+    // ends of a window edge lie in the corridor, and each out-list ascends.
+    val outOff = new Array[Int](c + 1)
     i = 0
     while (i < c) {
-      val a = g.outAdj(ids(i))
-      if (row.length < a.length) row = new Array[Int](a.length)
-      // Both ends of a window edge lie in the corridor, and a(j) ascends.
-      var cnt = 0; var j = 0
-      while (j < a.length) {
-        if (Bfs.inWindow(lF(i), dB(a(j)), k)) { val v = dF(a(j)); row(cnt) = v; inDeg(v) += 1; cnt += 1 }
+      val y = ids(i); var j = g.outOff(y)
+      while (j < g.outOff(y + 1)) { if (Bfs.inWindow(lF(i), dB(g.outDst(j)), k)) outOff(i + 1) += 1; j += 1 }
+      i += 1
+    }
+    LocalGraph.prefixSums(outOff)
+    val outDst = new Array[Int](outOff(c))
+    i = 0
+    while (i < c) {
+      val y = ids(i); var j = g.outOff(y); var p = outOff(i)
+      while (j < g.outOff(y + 1)) {
+        val v = g.outDst(j)
+        if (Bfs.inWindow(lF(i), dB(v), k)) { outDst(p) = dF(v); p += 1 }
         j += 1
       }
-      outAdj(i) = if (cnt == 0) Array.emptyIntArray else java.util.Arrays.copyOf(row, cnt)
       i += 1
     }
-    // In-lists filled in ascending source order, so each is sorted. A loop,
-    // not Array.tabulate, for the reason given in EssentialVertices.propagate.
-    val inAdj = new Array[Array[Int]](c)
-    i = 0
-    while (i < c) { inAdj(i) = if (inDeg(i) == 0) Array.emptyIntArray else new Array[Int](inDeg(i)); i += 1 }
-    java.util.Arrays.fill(inDeg, 0)
-    i = 0
-    while (i < c) {
-      val o = outAdj(i); var j = 0
-      while (j < o.length) { val v = o(j); inAdj(v)(inDeg(v)) = i; inDeg(v) += 1; j += 1 }
-      i += 1
-    }
-    new Corridor(ids, new LocalGraph(c, outAdj, inAdj), Bfs.Dists(lF, lB))
+    new Corridor(ids, LocalGraph.fromOutCsr(c, outOff, outDst), Bfs.Dists(lF, lB))
   }
 }

@@ -155,9 +155,10 @@ object EdgeLabeling {
     val dF = dists.toAll; val dB = dists.fromAll
     // Every window edge leaves a vertex with Δ(s,u) < k; on a corridor that
     // is every vertex with out-edges, so this is g.m there.
+    val off = g.outOff; val dst = g.outDst
     var cap = 0
     var u = 0
-    while (u < g.n) { if (dF(u) < k) cap += g.outAdj(u).length; u += 1 }
+    while (u < g.n) { if (dF(u) < k) cap += off(u + 1) - off(u); u += 1 }
     val edges  = new Array[Long](cap)
     val labels = new Array[Byte](cap)
     val fu = new IndexColumn(evF)
@@ -168,9 +169,9 @@ object EdgeLabeling {
       val du = dF(u)
       if (du < k) {
         fu.v = u
-        val a = g.outAdj(u); var j = 0
-        while (j < a.length) {
-          val v = a(j)
+        var j = off(u); val stop = off(u + 1)
+        while (j < stop) {
+          val v = dst(j)
           if (Bfs.inWindow(du, dB(v), k)) {
             if ((labeled & 0xfff) == 0) Deadline.check(deadline)
             labeled += 1

@@ -59,6 +59,7 @@ object EssentialVertices {
       deadline: Long = Deadline.None,
   ): EvIndex = {
     val n = g.n
+    val off = g.outOff; val dst = g.outDst
     val lastLayer = math.max(0, k - 1)
     // `new`, not `Array.ofDim`: the ClassTag lookup behind ofDim goes through
     // a ClassValue, and C2 code that inlines it is thrown away once Spark
@@ -95,10 +96,9 @@ object EssentialVertices {
       while (i < frontierLen) {
         val x = frontier(i)
         val evx = prev(x)
-        val outs = g.outAdj(x)
-        var j = 0
-        while (j < outs.length) {
-          val y = outs(j)
+        var j = off(x); val stop = off(x + 1)
+        while (j < stop) {
+          val y = dst(j)
           // line 6 with the forward-looking pruning predicate folded in;
           // `distToOther(y) <= k - l` avoids Int overflow on Inf. A minimal
           // y is skipped: inheritance gives it the same set, and an

@@ -1,30 +1,33 @@
 package repro.core
 
-import scala.collection.mutable
-
-/** Immutable adjacency-array (CSR-style) directed graph.
+/** Immutable directed graph in compressed sparse row (CSR) form.
   *
   * Vertices are `0 until n`. Both directions are materialized because every
-  * algorithm in the paper traverses forward from `s` and backward from `t`.
-  * The class is `Serializable` so a graph can be broadcast to Spark executors
-  * (see [[repro.distributed.QueryRunner]]).
+  * algorithm in the paper traverses forward from `s` and backward from `t`:
+  * the out-neighbors of `v` are `outDst(outOff(v) until outOff(v + 1))` and
+  * its in-neighbors `inSrc(inOff(v) until inOff(v + 1))`, each list
+  * ascending. Four flat arrays hold the whole graph, 4·(2(n+1) + 2m) bytes
+  * whatever the degrees. The class is `Serializable` so a graph can be
+  * broadcast to Spark executors (see [[repro.distributed.QueryRunner]]).
   *
   * @param n      number of vertices
-  * @param outAdj out-neighbors per vertex, each array sorted ascending
-  * @param inAdj  in-neighbors per vertex, each array sorted ascending
+  * @param outOff out-list offsets, length n+1, outOff(n) = m
+  * @param outDst out-neighbors, grouped by source
+  * @param inOff  in-list offsets, length n+1, inOff(n) = m
+  * @param inSrc  in-neighbors, grouped by destination
   */
 final class LocalGraph(
     val n: Int,
-    val outAdj: Array[Array[Int]],
-    val inAdj: Array[Array[Int]],
+    val outOff: Array[Int],
+    val outDst: Array[Int],
+    val inOff: Array[Int],
+    val inSrc: Array[Int],
 ) extends Serializable {
+  require(outOff.length == n + 1 && inOff.length == n + 1 && outDst.length == inSrc.length,
+    "CSR arrays do not describe one graph")
 
   /** Number of directed edges. */
-  val m: Long = {
-    var s = 0L; var i = 0
-    while (i < n) { s += outAdj(i).length; i += 1 }
-    s
-  }
+  def m: Long = outDst.length.toLong
 
   /** Average degree |E|/|V|. */
   def avgDeg: Double = if (n == 0) 0.0 else m.toDouble / n
@@ -32,39 +35,41 @@ final class LocalGraph(
   /** Maximum of in- and out-degree over all vertices (paper's d_max). */
   def maxDeg: Int = {
     var d = 0; var i = 0
-    while (i < n) {
-      if (outAdj(i).length > d) d = outAdj(i).length
-      if (inAdj(i).length > d) d = inAdj(i).length
-      i += 1
-    }
+    while (i < n) { d = math.max(d, math.max(outDeg(i), inDeg(i))); i += 1 }
     d
   }
 
-  def outDeg(v: Int): Int = outAdj(v).length
-  def inDeg(v: Int): Int  = inAdj(v).length
+  def outDeg(v: Int): Int = outOff(v + 1) - outOff(v)
+  def inDeg(v: Int): Int  = inOff(v + 1) - inOff(v)
 
-  /** The reversed graph G^r (shares the adjacency arrays). */
-  def reverse: LocalGraph = new LocalGraph(n, inAdj, outAdj)
+  /** A copy of v's out-neighbors, ascending. Loops read the CSR instead. */
+  def outAdj(v: Int): Array[Int] = java.util.Arrays.copyOfRange(outDst, outOff(v), outOff(v + 1))
 
-  /** Iterate all edges as (src, dst). */
+  /** A copy of v's in-neighbors, ascending. Loops read the CSR instead. */
+  def inAdj(v: Int): Array[Int] = java.util.Arrays.copyOfRange(inSrc, inOff(v), inOff(v + 1))
+
+  /** The reversed graph G^r (shares the CSR arrays). */
+  def reverse: LocalGraph = new LocalGraph(n, inOff, inSrc, outOff, outDst)
+
+  /** Iterate all edges as (src, dst), in source order. */
   def edges: Iterator[(Int, Int)] =
-    Iterator.range(0, n).flatMap(u => outAdj(u).iterator.map(v => (u, v)))
+    Iterator.range(0, n).flatMap(u => Iterator.range(outOff(u), outOff(u + 1)).map(j => (u, outDst(j))))
 
-  /** All edges encoded via [[LocalGraph.enc]]. */
+  /** All edges encoded via [[LocalGraph.enc]], ascending. */
   def encodedEdges: Array[Long] = {
-    val out = new Array[Long](Math.toIntExact(m))
-    var i = 0; var u = 0
+    val out = new Array[Long](outDst.length)
+    var u = 0
     while (u < n) {
-      val a = outAdj(u); var j = 0
-      while (j < a.length) { out(i) = LocalGraph.enc(u, a(j)); i += 1; j += 1 }
+      var j = outOff(u)
+      while (j < outOff(u + 1)) { out(j) = LocalGraph.enc(u, outDst(j)); j += 1 }
       u += 1
     }
     out
   }
 
-  /** True iff edge (u,v) exists (binary search on sorted adjacency). */
+  /** True iff edge (u,v) exists (binary search on the sorted out-list). */
   def hasEdge(u: Int, v: Int): Boolean =
-    u >= 0 && u < n && java.util.Arrays.binarySearch(outAdj(u), v) >= 0
+    u >= 0 && u < n && java.util.Arrays.binarySearch(outDst, outOff(u), outOff(u + 1), v) >= 0
 }
 
 object LocalGraph {
@@ -77,68 +82,80 @@ object LocalGraph {
   /** Build a graph from an edge list, deduplicating parallel edges and
     * dropping self-loops (neither can occur on any simple path from s to t
     * beyond the trivial, matching the paper's simple-digraph setting).
-    *
-    * Sort-based construction: O(|E| log |E| + |V|) with no per-vertex
-    * allocations — this runs once per query in several benchmarks, so the
-    * constant matters.
+    * The edges are packed into an unboxed `Array[Long]` on the way.
     */
   def fromEdges(n: Int, edgeList: IterableOnce[(Int, Int)]): LocalGraph = {
-    val buf = new mutable.ArrayBuffer[Long]()
-    edgeList.iterator.foreach { case (u, v) =>
+    var buf = new Array[Long](math.max(16, edgeList.knownSize))
+    var len = 0
+    val it  = edgeList.iterator
+    while (it.hasNext) {
+      val e = it.next(); val u = e._1; val v = e._2
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
-      if (u != v) buf += enc(u, v)
+      if (u != v) {
+        if (len == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * len)
+        buf(len) = enc(u, v); len += 1
+      }
     }
-    fromEncodedEdges(n, buf.toArray)
+    build(n, buf, len)
   }
 
   /** Build from encoded edges (the array is sorted and deduped in place). */
-  def fromEncodedEdges(n: Int, encoded: Array[Long]): LocalGraph = {
-    java.util.Arrays.sort(encoded)
-    val deduped = dedupSorted(encoded)
-    val rev     = deduped.map(e => enc(dst(e), src(e)))
-    java.util.Arrays.sort(rev)
-    new LocalGraph(n, grouped(n, deduped), grouped(n, rev))
-  }
+  def fromEncodedEdges(n: Int, encoded: Array[Long]): LocalGraph = build(n, encoded, encoded.length)
 
-  private def dedupSorted(a: Array[Long]): Array[Long] = {
-    if (a.length <= 1) return a
-    var w = 1; var i = 1
-    while (i < a.length) {
-      if (a(i) != a(w - 1)) { a(w) = a(i); w += 1 }
+  /** Sort-based construction from `encoded(0 until len)`: O(|E| log |E| +
+    * |V|) and four allocations, whatever the degrees.
+    */
+  private def build(n: Int, encoded: Array[Long], len: Int): LocalGraph = {
+    java.util.Arrays.sort(encoded, 0, len)
+    var m = 0; var i = 0
+    while (i < len) {
+      if (m == 0 || encoded(i) != encoded(m - 1)) { encoded(m) = encoded(i); m += 1 }
       i += 1
     }
-    if (w == a.length) a else java.util.Arrays.copyOf(a, w)
+    val outOff = new Array[Int](n + 1); val outDst = new Array[Int](m)
+    i = 0
+    while (i < m) { outDst(i) = dst(encoded(i)); outOff(src(encoded(i)) + 1) += 1; i += 1 }
+    prefixSums(outOff)
+    fromOutCsr(n, outOff, outDst)
   }
 
-  /** Group a sorted, deduped encoded-edge array into per-src adjacency;
-    * untouched vertices share one empty array.
+  /** The graph whose out-CSR is `outOff`/`outDst`. Its in-CSR is the
+    * transpose, a stable counting sort of the edges by destination, so each
+    * in-list ascends.
     */
-  private def grouped(n: Int, sorted: Array[Long]): Array[Array[Int]] = {
-    val out = new Array[Array[Int]](n)
-    var i = 0
-    while (i < sorted.length) {
-      val u = src(sorted(i))
-      var j = i
-      while (j < sorted.length && src(sorted(j)) == u) j += 1
-      val a = new Array[Int](j - i)
-      var p = 0
-      while (i < j) { a(p) = dst(sorted(i)); p += 1; i += 1 }
-      out(u) = a
+  private[core] def fromOutCsr(n: Int, outOff: Array[Int], outDst: Array[Int]): LocalGraph = {
+    val inOff = new Array[Int](n + 1); val inSrc = new Array[Int](outDst.length)
+    var j = 0
+    while (j < outDst.length) { inOff(outDst(j) + 1) += 1; j += 1 }
+    prefixSums(inOff)
+    var u = 0
+    while (u < n) {
+      j = outOff(u)
+      while (j < outOff(u + 1)) { val v = outDst(j); inSrc(inOff(v)) = u; inOff(v) += 1; j += 1 }
+      u += 1
     }
-    var v = 0
-    while (v < n) { if (out(v) == null) out(v) = Array.emptyIntArray; v += 1 }
-    out
+    // Each cursor now sits where the next list starts: shift them back.
+    var v = n
+    while (v > 0) { inOff(v) = inOff(v - 1); v -= 1 }
+    inOff(0) = 0
+    new LocalGraph(n, outOff, outDst, inOff, inSrc)
   }
 
-  /** Insertion sort of an adjacency array by a Long key: adjacency lists
+  /** Degree counts in `off(1..n)` become CSR offsets. */
+  private[core] def prefixSums(off: Array[Int]): Unit = {
+    var v = 1
+    while (v < off.length) { off(v) += off(v - 1); v += 1 }
+  }
+
+  /** Insertion sort of `a(from until until)` by a Long key: adjacency lists
     * sorted per query are short, and this avoids boxing.
     */
-  def sortBy(a: Array[Int], key: Int => Long): Unit = {
-    var i = 1
-    while (i < a.length) {
+  def sortBy(a: Array[Int], from: Int, until: Int, key: Int => Long): Unit = {
+    var i = from + 1
+    while (i < until) {
       val x = a(i); val kx = key(x)
       var j = i - 1
-      while (j >= 0 && key(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
+      while (j >= from && key(a(j)) > kx) { a(j + 1) = a(j); j -= 1 }
       a(j + 1) = x
       i += 1
     }

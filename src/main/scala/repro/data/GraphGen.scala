@@ -120,7 +120,7 @@ object GraphGen {
     while (out.length < count && attempts < maxAttempts) {
       attempts += 1
       val s    = rnd.nextInt(g.n)
-      val dist = Bfs.bounded(g.outAdj, g.n, s, k)
+      val dist = Bfs.bounded(g.outOff, g.outDst, s, k)
       val reach = (0 until g.n).filter(v => v != s && dist(v) <= k)
       if (reach.nonEmpty) out += ((s, reach(rnd.nextInt(reach.length))))
     }

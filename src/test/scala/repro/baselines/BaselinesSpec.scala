@@ -118,8 +118,8 @@ class BaselinesSpec extends SparkSpec {
     import PaperGraph._
     val idx = PathEnum.buildIndex(graph, s, t, 4)
     // e(b,j): Δ(s,b)=2, Δ(j,t)=3 -> 2+1+Δ(j,t)=6 > 4, pruned from the index.
-    assert(!idx.out(b).contains(j))
+    assert(!idx.asGraph.outAdj(b).contains(j))
     // e(s,c): 0+1+1 <= 4, kept.
-    assert(idx.out(s).contains(c))
+    assert(idx.asGraph.outAdj(s).contains(c))
   }
 }

@@ -8,8 +8,8 @@ class KhsqSpec extends SparkSpec {
 
   /** Reference: edges on some ≤k s-t walk, via full bounded BFS. */
   private def reference(g: LocalGraph, s: Int, t: Int, k: Int): Set[Long] = {
-    val dF = Bfs.bounded(g.outAdj, g.n, s, k)
-    val dB = Bfs.bounded(g.inAdj, g.n, t, k)
+    val dF = Bfs.bounded(g.outOff, g.outDst, s, k)
+    val dB = Bfs.bounded(g.inOff, g.inSrc, t, k)
     g.edges.collect {
       case (u, v) if dF(u) + 1 + dB(v) <= k => LocalGraph.enc(u, v)
     }.toSet

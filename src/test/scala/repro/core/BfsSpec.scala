@@ -10,8 +10,8 @@ import repro.data.GraphGen
 class BfsSpec extends SparkSpec {
 
   /** Reference k-bounded distances: a plain queue BFS, independent of [[Bfs]]. */
-  private def queueBfs(adj: Array[Array[Int]], root: Int, k: Int): Array[Int] = {
-    val dist  = Array.fill(adj.length)(Bfs.Inf)
+  private def queueBfs(n: Int, adj: Int => Array[Int], root: Int, k: Int): Array[Int] = {
+    val dist  = Array.fill(n)(Bfs.Inf)
     val queue = scala.collection.mutable.Queue(root)
     dist(root) = 0
     while (queue.nonEmpty) {
@@ -23,21 +23,21 @@ class BfsSpec extends SparkSpec {
   }
 
   private def fullDists(g: LocalGraph, s: Int, t: Int, k: Int): Bfs.Dists =
-    Bfs.Dists(queueBfs(g.outAdj, s, k), queueBfs(g.inAdj, t, k))
+    Bfs.Dists(queueBfs(g.n, g.outAdj, s, k), queueBfs(g.n, g.inAdj, t, k))
 
   test("bounded BFS distances on the paper graph") {
     import PaperGraph._
-    val d = Bfs.bounded(graph.outAdj, graph.n, s, 7)
+    val d = Bfs.bounded(graph.outOff, graph.outDst, s, 7)
     assert(d(s) == 0 && d(a) == 1 && d(c) == 1 && d(b) == 2 && d(h) == 2 &&
       d(i) == 2 && d(j) == 3 && d(t) == 2)
-    val db = Bfs.bounded(graph.inAdj, graph.n, t, 7)
+    val db = Bfs.bounded(graph.inOff, graph.inSrc, t, 7)
     assert(db(t) == 0 && db(b) == 1 && db(c) == 1 && db(a) == 2 && db(h) == 2 &&
       db(j) == 3 && db(i) == 4 && db(s) == 2)
   }
 
   test("bounded BFS respects the hop bound") {
     import PaperGraph._
-    val d = Bfs.bounded(graph.inAdj, graph.n, t, 3)
+    val d = Bfs.bounded(graph.inOff, graph.inSrc, t, 3)
     assert(d(i) == Bfs.Inf) // Δ(i,t)=4 > 3
     assert(d(j) == 3)
   }
@@ -49,12 +49,12 @@ class BfsSpec extends SparkSpec {
       val k     = 3 + seed % 3
       // Edge-id CSR over g's out-edges; slot j holds edge id m-1-j, so the
       // search must follow ids rather than slots.
-      val flat  = g.outAdj.flatten; val m = flat.length
-      val off   = g.outAdj.scanLeft(0)(_ + _.length)
+      val flat  = g.outDst; val m = flat.length
+      val off   = g.outOff
       val end   = Array.tabulate(m)(e => flat(m - 1 - e))
       val d     = Bfs.nearest(off, Array.tabulate(m)(m - 1 - _), end, g.n, roots, k)
       for (y <- 0 until g.n)
-        assert(d(y) == roots.map(r => queueBfs(g.outAdj, r, k)(y)).min, s"y=$y")
+        assert(d(y) == roots.map(r => queueBfs(g.n, g.outAdj, r, k)(y)).min, s"y=$y")
     }
   }
 

@@ -21,13 +21,14 @@ class CorridorSpec extends SparkSpec {
         val q   = s"($s,$t)"
         val d   = Bfs.distances(g, s, t, k, mode)
         val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); Corridor(g, sc, k) }
-        val dS  = Bfs.bounded(g.outAdj, g.n, s, k)
-        val dT  = Bfs.bounded(g.inAdj, g.n, t, k)
+        val dS  = Bfs.bounded(g.outOff, g.outDst, s, k)
+        val dT  = Bfs.bounded(g.inOff, g.inSrc, t, k)
         assert(cor.ids.toSeq == (0 until g.n).filter(y => dS(y) + dT(y) <= k), q)
         assert((1 until cor.ids.length).forall(i => cor.ids(i - 1) < cor.ids(i)), q)
         assert(cor.global(cor.graph.encodedEdges).sameElements(Bfs.window(g, d, k)), q)
         val rebuilt = LocalGraph.fromEncodedEdges(cor.graph.n, cor.graph.encodedEdges)
-        assert(cor.graph.inAdj.map(_.toSeq).toSeq == rebuilt.inAdj.map(_.toSeq).toSeq, s"in-lists $q")
+        assert((0 until cor.graph.n).map(cor.graph.inAdj(_).toSeq) == (0 until rebuilt.n).map(rebuilt.inAdj(_).toSeq),
+          s"in-lists $q")
         for (i <- cor.ids.indices) {
           val y = cor.ids(i)
           assert(cor.dists.fromS(i) == dS(y) && cor.dists.toT(i) == dT(y), s"$q at $y")

@@ -85,8 +85,8 @@ class EveSpec extends SparkSpec {
       val k = 6
       val s = seed % g.n; val t = (seed + 9) % g.n
       if (s != t) {
-        val dF = Bfs.bounded(g.outAdj, g.n, s, k)
-        val dB = Bfs.bounded(g.inAdj, g.n, t, k)
+        val dF = Bfs.bounded(g.outOff, g.outDst, s, k)
+        val dB = Bfs.bounded(g.inOff, g.inSrc, t, k)
         for (e <- Eve.spg(g, s, t, k)) {
           val u = LocalGraph.src(e); val v = LocalGraph.dst(e)
           assert(dF(u) + 1 + dB(v) <= k, s"edge ($u,$v) violates the distance window")
@@ -128,6 +128,29 @@ class EveSpec extends SparkSpec {
     // Naive EVE (single BFS to depth k from both ends) reaches all 8 vertices.
     val naive = Eve.run(graph, s, t, 4, EveConfig.Naive).stats
     assert(naive.bfsReachedF == 8 && naive.bfsReachedB == 8)
+  }
+
+  test("distance search reach pins on a power-law query set") {
+    // Σ bfsReachedF / Σ bfsReachedB over 40 queries per k. Phase 1 ends at
+    // depth sum k−1 (DESIGN.md §6). Ending it at k, as §3.3 prints, reached
+    // (F / B) under Adaptive 4,501 / 5,253, 13,288 / 13,982 and
+    // 32,375 / 33,969 at k = 4, 5, 6, and under BiDir 5,231 / 7,673,
+    // 23,123 / 17,705 and 34,433 / 35,888. A looser search reaches more.
+    val g = GraphGen.powerLaw(3000, 9000, alpha = 0.9, seed = 17)
+    val reached = for (mode <- Seq(Bfs.SearchMode.Adaptive, Bfs.SearchMode.BiDir); k <- Seq(4, 5, 6)) yield {
+      val stats = GraphGen.queries(g, k, 40, seed = 3L * k).map { case (s, t) =>
+        Eve.run(g, s, t, k, EveConfig(search = mode)).stats
+      }
+      (mode, k) -> (stats.map(_.bfsReachedF).sum, stats.map(_.bfsReachedB).sum)
+    }
+    assert(reached.toMap == Map(
+      (Bfs.SearchMode.Adaptive, 4) -> ((2200, 1199)),
+      (Bfs.SearchMode.Adaptive, 5) -> ((3795, 3863)),
+      (Bfs.SearchMode.Adaptive, 6) -> ((13687, 13802)),
+      (Bfs.SearchMode.BiDir, 4)    -> ((3918, 701)),
+      (Bfs.SearchMode.BiDir, 5)    -> ((3638, 4802)),
+      (Bfs.SearchMode.BiDir, 6)    -> ((24339, 9933)),
+    ))
   }
 
   test("paper graph: propagation counters match a hand count at k=4") {

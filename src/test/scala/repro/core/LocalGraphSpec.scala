@@ -56,6 +56,46 @@ class LocalGraphSpec extends SparkSpec {
     assert(decoded == PaperGraph.edges.toSet)
   }
 
+  // Seed 0 has no vertex, seed 1 one; from seed 2 on, vertices at or above
+  // `hi` get no edge, and random endpoints add duplicates and self-loops.
+  for (seed <- 0 until 24) {
+    test(s"CSR equals the sorted edge list (seed=$seed)") {
+      val rnd = new scala.util.Random(seed)
+      val n   = if (seed < 2) seed else 2 + rnd.nextInt(30)
+      val hi  = math.max(1, n - seed % 3)
+      val raw = if (n == 0) Seq.empty else Seq.fill(rnd.nextInt(4 * n + 1))((rnd.nextInt(hi), rnd.nextInt(hi)))
+      val want = raw.filter { case (u, v) => u != v }.distinct.sorted
+      val enc  = want.map { case (u, v) => LocalGraph.enc(u, v) }
+      val g    = LocalGraph.fromEdges(n, raw)
+      assert(g.n == n && g.m == want.length)
+      assert(g.encodedEdges.toSeq == enc && g.edges.toSeq == want)
+      val shuffled = rnd.shuffle(raw.filter { case (u, v) => u != v }.map { case (u, v) => LocalGraph.enc(u, v) })
+      assert(LocalGraph.fromEncodedEdges(n, shuffled.toArray).encodedEdges.toSeq == enc)
+      for (v <- 0 until n) {
+        assert(g.outAdj(v).toSeq == want.collect { case (`v`, w) => w }, s"out($v)")
+        assert(g.inAdj(v).toSeq == want.collect { case (u, `v`) => u }.sorted, s"in($v)")
+        assert(g.outDeg(v) == g.outAdj(v).length && g.inDeg(v) == g.inAdj(v).length, s"deg($v)")
+      }
+      val r = g.reverse
+      assert(r.n == n && r.m == g.m)
+      assert(r.encodedEdges.toSeq == want.map(_.swap).sorted.map { case (u, v) => LocalGraph.enc(u, v) })
+      assert(r.reverse.encodedEdges.toSeq == enc)
+      for (u <- -1 to n; v <- 0 until n) assert(g.hasEdge(u, v) == want.contains((u, v)), s"($u,$v)")
+      val degrees = (0 until n).flatMap(v => Seq(want.count(_._1 == v), want.count(_._2 == v)))
+      assert(g.maxDeg == (0 +: degrees).max)
+    }
+  }
+
+  test("the web-Google stand-in costs no more than its four CSR arrays") {
+    // 25,000 vertices and 100,000 edges: 4·(2(n+1)+2m) bytes is 1.0 MB,
+    // where one array per vertex and direction took 1.85 MB.
+    val g   = repro.data.GraphGen.dataset("gg").build()
+    val csr = 4.0 * (2 * (g.n + 1) + 2 * g.m)
+    val est = org.apache.spark.util.SizeEstimator.estimate(g)
+    assert(g.n == 25000 && g.m == 100000)
+    assert(est <= 1.1 * csr, s"SizeEstimator: $est bytes, CSR arrays: $csr")
+  }
+
   test("enc/src/dst round-trip on extreme ids") {
     for ((u, v) <- Seq((0, 0), (1, Int.MaxValue), (Int.MaxValue, 7), (123456789, 987654321))) {
       val e = LocalGraph.enc(u, v)

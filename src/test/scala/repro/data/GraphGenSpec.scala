@@ -61,7 +61,7 @@ class GraphGenSpec extends SparkSpec {
       assert(qs.size == 15)
       for ((s, t) <- qs) {
         assert(s != t)
-        val d = Bfs.bounded(g.outAdj, g.n, s, k)
+        val d = Bfs.bounded(g.outOff, g.outDst, s, k)
         assert(d(t) <= k, s"($s,$t) not reachable within $k")
       }
     }
