@@ -22,21 +22,22 @@ final class UpperBoundGraph(
     val labels: Array[Byte],
     /** How many of [[labels]] are [[EdgeLabel.Definite]]. */
     val numDefinite: Int,
-) extends Serializable {
+) {
   require({ var i = 1; while (i < edges.length && edges(i - 1) < edges(i)) i += 1; i >= edges.length },
     "SPGu edges must be strictly ascending")
 
-  /** Counts the definite labels. */
+  /** Counts the definite labels, for edges not labeled by
+    * [[EdgeLabeling.upperBound]], which counts them as it labels.
+    */
   def this(n: Int, k: Int, s: Int, t: Int, edges: Array[Long], labels: Array[Byte]) =
     this(n, k, s, t, edges, labels, labels.count(_ == EdgeLabel.Definite))
 
   def numEdges: Int = edges.length
 
   /** SPGu's edge-id adjacency, built on first use and read by [[Boundary]]
-    * and every [[Verifier]] on this graph; neither writes to it. Not
-    * serialized: a broadcast copy builds its own once per JVM.
+    * and every [[Verifier]] on this graph; neither writes to it.
     */
-  @transient lazy val adjacency: UpperBoundGraph.Adjacency = UpperBoundGraph.Adjacency(this)
+  lazy val adjacency: UpperBoundGraph.Adjacency = UpperBoundGraph.Adjacency(this)
 
   def definiteEdges: Iterator[Long] =
     edges.iterator.zip(labels.iterator).collect { case (e, l) if l == EdgeLabel.Definite => e }
@@ -93,21 +94,15 @@ object UpperBoundGraph {
 /** Algorithm 2 — per-edge labeling against the essential-vertex indexes. */
 object EdgeLabeling {
 
-  /** Vertex `v`'s column of an [[EvIndex]], re-pointed per edge so that
-    * labeling allocates nothing per edge.
-    */
-  private final class IndexColumn(ev: EvIndex) extends EvColumn {
-    private val layers = ev.layers
-    var v = 0
-    def apply(l: Int): Array[Int] = layers(l)(v)
-  }
-
-  /** Label a single edge e(u,v) from its two EV columns: `fu(l)` is
-    * EV_l(s,u) and `bv(l)` is EV_l(v,t) for l in 0..k-1, null where absent.
-    * Follows Algorithm 2 line-by-line; see the paper's Lemmas 4.4/4.6 and
+  /** Label a single edge e(u,v) from the EV indexes: `fu(l)` is EV_l(s,u)
+    * and `bv(l)` is EV_l(v,t) for l in 0..k-1, null where absent. Follows
+    * Algorithm 2 line-by-line; see the paper's Lemmas 4.4/4.6 and
     * Theorem 4.3 for why checking kb = k-kf-1 covers all smaller kb.
     */
-  def labelEdge(k: Int, s: Int, t: Int, u: Int, v: Int, fu: EvColumn, bv: EvColumn): Byte = {
+  def labelEdge(k: Int, s: Int, t: Int, u: Int, v: Int, evF: EvIndex, evB: EvIndex): Byte = {
+    val f = evF.layers; val b = evB.layers
+    def fu(l: Int): Array[Int] = f(l)(u)
+    def bv(l: Int): Array[Int] = b(l)(v)
     // line 1: first-hop from s / last-hop into t (Lemma 4.4, an iff).
     if (u == s) return if (bv(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
     if (v == t) return if (fu(k - 1) != null) EdgeLabel.Definite else EdgeLabel.Failing
@@ -161,22 +156,18 @@ object EdgeLabeling {
     while (u < g.n) { if (dF(u) < k) cap += off(u + 1) - off(u); u += 1 }
     val edges  = new Array[Long](cap)
     val labels = new Array[Byte](cap)
-    val fu = new IndexColumn(evF)
-    val bv = new IndexColumn(evB)
     var kept = 0; var definite = 0; var labeled = 0
     u = 0
     while (u < g.n) {
       val du = dF(u)
       if (du < k) {
-        fu.v = u
         var j = off(u); val stop = off(u + 1)
         while (j < stop) {
           val v = dst(j)
           if (Bfs.inWindow(du, dB(v), k)) {
             if ((labeled & 0xfff) == 0) Deadline.check(deadline)
             labeled += 1
-            bv.v = v
-            val lab = labelEdge(k, s, t, u, v, fu, bv)
+            val lab = labelEdge(k, s, t, u, v, evF, evB)
             if (lab != EdgeLabel.Failing) {
               edges(kept) = LocalGraph.enc(u, v); labels(kept) = lab; kept += 1
               if (lab == EdgeLabel.Definite) definite += 1
@@ -205,7 +196,7 @@ final class Boundary(
     val inD: Array[Array[Int]],
     /** Valid out-neighbors per arrival vertex (≤ k-2 entries), null elsewhere. */
     val outA: Array[Array[Int]],
-) extends Serializable {
+) {
   /** The departure vertices, ascending. */
   val departures: Array[Int] = Boundary.members(isDeparture)
   /** The arrival vertices, ascending. */

@@ -15,18 +15,9 @@ final class EvIndex(
     val frontier: Long = 0,
     /** [[VSet.keepIn]] calls propagation made. */
     val merges: Long = 0,
-) extends Serializable {
+) {
   /** EV set for paths of length ≤ l, or null. Requires 0 ≤ l ≤ k-1. */
   def at(l: Int, v: Int): Array[Int] = layers(l)(v)
-}
-
-/** The EV sets of one vertex across layers: `apply(l)` is EV_l of that
-  * vertex for l in 0..k-1, null where absent. [[EdgeLabeling.labelEdge]]
-  * reads one column per endpoint of an edge, whether the sets are stored
-  * per layer ([[EvIndex]]) or per vertex ([[repro.distributed.DistEve]]).
-  */
-trait EvColumn {
-  def apply(l: Int): Array[Int]
 }
 
 /** Propagating computation of essential vertices (Algorithm 1).

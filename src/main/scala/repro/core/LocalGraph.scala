@@ -170,18 +170,6 @@ object LocalGraph {
   */
 object VSet {
 
-  /** Sorted intersection of two sorted arrays. */
-  def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
-    var i = 0; var j = 0; var c = 0
-    val tmp = new Array[Int](math.min(a.length, b.length))
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { tmp(c) = a(i); c += 1; i += 1; j += 1 }
-    }
-    if (c == tmp.length) tmp else java.util.Arrays.copyOf(tmp, c)
-  }
-
   /** a ∪ {x} preserving sort order; returns `a` itself if x ∈ a. */
   def add(a: Array[Int], x: Int): Array[Int] = {
     val pos = java.util.Arrays.binarySearch(a, x)

@@ -91,15 +91,6 @@ final class Verifier(
   /** Backward searches not started: every vertex of the arrival's Out_A was on the stack (cut (a)). */
   def backwardSkipped: Long = noBackward
 
-  /** Algorithm 3's outer loop over the undetermined edge ids `ids`, in
-    * order; an id already confirmed is skipped. Returns the SPG membership
-    * of every SPGu edge id: the definite edges plus the witnessed ones.
-    */
-  def confirm(ids: Array[Int]): Array[Boolean] = {
-    var i = 0; while (i < ids.length) { visit(ids(i)); i += 1 }
-    inSpg
-  }
-
   /** SPG_k's edges: `ub.edges` filtered after confirming every undetermined
     * edge in ascending id order, so already sorted.
     */

@@ -130,11 +130,10 @@ class EdgeLabelingSpec extends SparkSpec {
   /** Algorithm 2 over [[Bfs.window]]'s edge list, one [[EdgeLabeling.labelEdge]] per edge. */
   private def labelWindow(g: LocalGraph, s: Int, t: Int, k: Int, d: Bfs.Dists,
                           evF: EvIndex, evB: EvIndex): Seq[(Long, Byte)] = {
-    def column(ev: EvIndex, v: Int) = new EvColumn { def apply(l: Int): Array[Int] = ev.at(l, v) }
     Bfs.window(g, d, k).toSeq
       .map { e =>
         val (u, v) = (LocalGraph.src(e), LocalGraph.dst(e))
-        (e, EdgeLabeling.labelEdge(k, s, t, u, v, column(evF, u), column(evB, v)))
+        (e, EdgeLabeling.labelEdge(k, s, t, u, v, evF, evB))
       }
       .filter(_._2 != EdgeLabel.Failing)
   }

@@ -104,9 +104,9 @@ class LocalGraphSpec extends SparkSpec {
   }
 
   test("VSet.intersect over sorted arrays") {
-    assert(VSet.intersect(Array(1, 3, 5), Array(2, 3, 5, 7)).toSeq == Seq(3, 5))
-    assert(VSet.intersect(Array(1, 2), Array(3, 4)).toSeq == Seq.empty)
-    assert(VSet.intersect(Array.emptyIntArray, Array(1)).toSeq == Seq.empty)
+    assert(PlainVSet.intersect(Array(1, 3, 5), Array(2, 3, 5, 7)).toSeq == Seq(3, 5))
+    assert(PlainVSet.intersect(Array(1, 2), Array(3, 4)).toSeq == Seq.empty)
+    assert(PlainVSet.intersect(Array.emptyIntArray, Array(1)).toSeq == Seq.empty)
   }
 
   test("VSet.add keeps order and avoids duplicates") {
@@ -141,7 +141,7 @@ class LocalGraphSpec extends SparkSpec {
     } yield (a, b, y)
     val prop = Prop.forAll(args) { case (a, b, y) =>
       val r = VSet.keepIn(a, b, y)
-      r.sameElements(VSet.intersect(a, VSet.add(b, y))) && ((r eq a) == (r.length == a.length))
+      r.sameElements(PlainVSet.intersect(a, VSet.add(b, y))) && ((r eq a) == (r.length == a.length))
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(2000), prop)
     assert(res.passed, res.status)

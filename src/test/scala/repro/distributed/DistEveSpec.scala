@@ -1,5 +1,8 @@
 package repro.distributed
 
+import org.apache.spark.SpecListenerBus
+import org.apache.spark.graphx.Graph
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec}
 import repro.baselines.BruteForce
 import repro.core.{Eve, LocalGraph, PaperGraph, SpgOracle}
@@ -35,8 +38,8 @@ class DistEveSpec extends SparkSpec {
     }
   }
 
-  // The labeled edges are collected in partition order, so the upper bound
-  // arrives unsorted; SPGu edge ids and the sorted output need it sorted.
+  // The window's edges are collected in partition order, so they arrive
+  // unsorted; the local graph and the sorted output need them sorted.
   for (k <- Seq(5, 6)) {
     test(s"upper bound collected from 4 partitions: DistEve equals local EVE, rows sorted (k=$k)") {
       val g = GraphGen.uniform(40, 200, 70 + k)
@@ -119,5 +122,62 @@ class DistEveSpec extends SparkSpec {
 
   test("rejects k < 1") {
     intercept[IllegalArgumentException](DistEve.spg(spark, SpgOracle.edgesDf(spark, PaperGraph.graph), 0, 7, 0))
+  }
+
+  for (k <- Seq(3, 6)) {
+    test(s"path of k hops gives the path, path of k+1 hops gives nothing (k=$k)") {
+      def path(len: Int) = LocalGraph.fromEdges(len + 1, (0 until len).map(i => (i, i + 1)))
+      val exact = distSpg(path(k), 0, k, k)
+      assert(exact.size == k && exact == bruteSpg(path(k), 0, k, k))
+      assert(distSpg(path(k + 1), 0, k + 1, k).isEmpty)
+    }
+  }
+
+  test("duplicate rows and self-loops: DistEve equals local EVE on the cleaned graph") {
+    import spark.implicits._
+    val g = GraphGen.uniform(30, 100, 23)
+    val k = 5
+    val clean = g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toSeq
+    val loops = (0 until g.n by 3).map(v => (v.toLong, v.toLong))
+    val edges = (clean ++ clean.take(40) ++ loops ++ loops).toDF("src", "dst").repartition(3)
+    for ((s, t) <- GraphGen.queries(g, k, 3, seed = 29)) {
+      val got = DistEve.spg(spark, edges, s, t, k).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+      assert(got == localSpg(g, s, t, k), s"($s,$t)")
+    }
+  }
+
+  /** Spark jobs that `body` starts, counted by a listener. */
+  private def jobsOf(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    SpecListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try { body; SpecListenerBus.drain(sc) } finally sc.removeSparkListener(listener)
+    jobs.get
+  }
+
+  test("a larger k adds only the Pregel rounds' Spark jobs") {
+    // A 24-cycle with chords i -> i+2: both distance searches stay active
+    // through k=8, so each Pregel run takes every round it is allowed.
+    val g = LocalGraph.fromEdges(24, (0 until 24).flatMap(i => Seq((i, (i + 1) % 24), (i, (i + 2) % 24))))
+    val (s, t) = (0, 6)
+    val edges = SpgOracle.edgesDf(spark, g).cache()
+    edges.count()
+    val graph = Graph.fromEdgeTuples(
+      spark.sparkContext.parallelize(g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toSeq), 0).cache()
+    def pregelJobs(k: Int) = jobsOf {
+      DistEve.pregelDist(graph, s, k, reverse = false)
+      DistEve.pregelDist(graph, t, k, reverse = true)
+    }
+    def spgJobs(k: Int) = jobsOf(DistEve.spg(spark, edges, s, t, k).collect())
+    try {
+      val pregel = pregelJobs(8) - pregelJobs(3)
+      val spg    = spgJobs(8) - spgJobs(3)
+      assert(pregel > 0)
+      assert(spg <= pregel, s"k=8 starts $spg more jobs than k=3; the two Pregel runs account for $pregel")
+    } finally { graph.unpersist(blocking = true); edges.unpersist(blocking = true) }
   }
 }
