@@ -61,8 +61,15 @@ object JoinEnum {
   /** Enumerate paths; `onPath` receives the full s..t vertex sequence. */
   def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
       onPath: Array[Int] => Unit): Long = {
-    val distF = Bfs.bounded(g.outOff, g.outDst, s, k)
-    val distB = Bfs.bounded(g.inOff, g.inSrc, t, k)
+    g.requireQuery(s, t, k)
+    join(g, s, t, k, Bfs.bounded(g.outOff, g.outDst, s, k), Bfs.bounded(g.inOff, g.inSrc, t, k), deadline)(onPath)
+  }
+
+  /** [[enumerate]] given Δ(s,·) as `distF` and Δ(·,t) as `distB`, each
+    * exact wherever it is at most k.
+    */
+  private[baselines] def join(g: LocalGraph, s: Int, t: Int, k: Int, distF: Array[Int], distB: Array[Int],
+                              deadline: Long)(onPath: Array[Int] => Unit): Long = {
     if (distB(s) > k) return 0L
     val fMax = (k + 1) / 2
     val bMax = k / 2

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Bfs, LocalGraph}
+import repro.core.{Bfs, Corridor, LocalGraph}
 
 /** KHSQ [25]: the k-hop s-t subgraph G^k_st — all edges e(u,v) with
   * Δ(s,u) + 1 + Δ(v,t) ≤ k, i.e. every edge on *some* (not necessarily
@@ -9,14 +9,15 @@ import repro.core.{Bfs, LocalGraph}
   *
   * KHSQ computes the two distance maps by single-direction BFS; KHSQ+ (the
   * paper's §6.7 optimization) swaps in the adaptive bi-directional search of
-  * §3.3 — identical output, smaller explored space.
+  * §3.3 — identical output, smaller explored space. Both are the query's
+  * [[Corridor]] under that search.
   */
 object Khsq {
 
   /** G^k_st as a subgraph over the same vertex-id space. */
   def subgraph(g: LocalGraph, s: Int, t: Int, k: Int, plus: Boolean): LocalGraph = {
-    val mode = if (plus) Bfs.SearchMode.Adaptive else Bfs.SearchMode.Single
-    LocalGraph.fromEncodedEdges(g.n, Bfs.window(g, Bfs.distances(g, s, t, k, mode), k))
+    val cor = Corridor.of(g, s, t, k, if (plus) Bfs.SearchMode.Adaptive else Bfs.SearchMode.Single)
+    LocalGraph.fromEncodedEdges(g.n, cor.global(cor.graph.encodedEdges))
   }
 
   /** Encoded edge set of G^k_st (for size comparisons in tests). */

@@ -1,71 +1,64 @@
 package repro.baselines
 
-import repro.core.{Bfs, Deadline, LocalGraph}
+import repro.core.{Bfs, Corridor, Deadline, LocalGraph}
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** PathEnum [35]: real-time hop-constrained s-t simple path enumeration.
   *
-  * Per query it (1) builds a lightweight index: forward/backward bounded
-  * distances, then the adjacency restricted to edges on some ≤k walk
-  * (Δ(s,u)+1+Δ(v,t) ≤ k), with out-neighbors sorted by Δ(·,t) and
-  * in-neighbors by Δ(s,·); (2) a cost-based optimizer — sparse k-bounded
+  * Per query it (1) builds a lightweight index: the query's [[Corridor]]
+  * under single-direction BFS, i.e. the edges on some ≤k walk
+  * (Δ(s,u)+1+Δ(v,t) ≤ k) in local ids, with out-neighbors sorted by Δ(·,t)
+  * and in-neighbors by Δ(s,·); (2) a cost-based optimizer — k-bounded
   * walk-count DP from both ends — chooses between DFS over the index and a
   * join of middle-split partials (reusing the canonical-split machinery of
-  * [[JoinEnum]] over the pruned search space).
+  * [[JoinEnum]] over the pruned search space). Enumeration runs in the
+  * corridor's local ids, so a query allocates in proportion to its corridor,
+  * not to |V|; [[spg]] maps its edges back.
   */
 object PathEnum {
 
-  /** The per-query lightweight index. */
-  final class Index(
-      val k: Int,
-      val s: Int,
-      val t: Int,
-      val distF: Array[Int],
-      val distB: Array[Int],
-      /** The pruned search space as a standalone graph (= G^k_st). Its
-        * lists keep the index's distance order, not id order, so
-        * `hasEdge` does not apply — enumeration only.
-        */
-      val asGraph: LocalGraph,
-  )
+  /** The per-query lightweight index: the query's corridor and s and t in
+    * its local ids, both -1 when Δ(s,t) > k (an empty corridor). The
+    * corridor's lists keep the index's distance order, not id order, so
+    * `hasEdge` does not apply to `cor.graph` — enumeration only.
+    */
+  final class Index(val k: Int, val cor: Corridor, val s: Int, val t: Int)
 
   def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int): Index = {
-    val dists = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
-    val gst   = LocalGraph.fromEncodedEdges(g.n, Bfs.window(g, dists, k))
+    val cor = Corridor.of(g, s, t, k, Bfs.SearchMode.Single)
+    val h   = cor.graph
     // Sort out-neighbors closest-to-target first (and symmetrically), the
     // index ordering PathEnum's DFS relies on for early termination.
     var w = 0
-    while (w < g.n) {
-      LocalGraph.sortBy(gst.outDst, gst.outOff(w), gst.outOff(w + 1), dists.toT(_).toLong)
-      LocalGraph.sortBy(gst.inSrc, gst.inOff(w), gst.inOff(w + 1), dists.fromS(_).toLong)
+    while (w < h.n) {
+      LocalGraph.sortBy(h.outDst, h.outOff(w), h.outOff(w + 1), cor.dists.toT(_).toLong)
+      LocalGraph.sortBy(h.inSrc, h.inOff(w), h.inOff(w + 1), cor.dists.fromS(_).toLong)
       w += 1
     }
-    new Index(k, s, t, dists.toAll, dists.fromAll, gst)
+    new Index(k, cor, cor.local(s), cor.local(t))
   }
 
-  /** Sparse walk-count DP over the index: level l maps vertex -> number of
-    * exactly-l-hop walks from `root` inside the pruned space (Double to
-    * tolerate explosion). Optimizer only.
+  /** Walk-count DP over the index: entry l is the number of exactly-l-hop
+    * walks from `root` inside the pruned space (Double to tolerate
+    * explosion). Optimizer only.
     */
-  private def walkCounts(g: LocalGraph, root: Int, k: Int): Array[mutable.LongMap[Double]] = {
-    val levels = Array.fill(k + 1)(mutable.LongMap.empty[Double])
-    levels(0)(root.toLong) = 1.0
+  private def walkCounts(g: LocalGraph, root: Int, k: Int): Array[Double] = {
+    val total = new Array[Double](k + 1)
+    var prev  = new Array[Double](g.n)
+    prev(root) = 1.0
     var l = 1
     while (l <= k) {
-      val prev = levels(l - 1)
-      val cur  = levels(l)
-      prev.foreachEntry { (uL, cu) =>
-        var j = g.outOff(uL.toInt)
-        while (j < g.outOff(uL.toInt + 1)) {
-          val v = g.outDst(j).toLong
-          cur(v) = cur.getOrElse(v, 0.0) + cu
-          j += 1
-        }
+      val cur = new Array[Double](g.n)
+      var u = 0
+      while (u < g.n) {
+        var j = g.outOff(u)
+        while (prev(u) != 0.0 && j < g.outOff(u + 1)) { cur(g.outDst(j)) += prev(u); j += 1 }
+        u += 1
       }
-      l += 1
+      total(l) = cur.sum; prev = cur; l += 1
     }
-    levels
+    total
   }
 
   /** Cost-based choice: estimated DFS work = total ≤k-walks from s inside
@@ -75,52 +68,30 @@ object PathEnum {
     * canonical middle split).
     */
   private[baselines] def chooseJoin(idx: Index): Boolean = {
-    val wf   = walkCounts(idx.asGraph, idx.s, idx.k)
-    val fMax = (idx.k + 1) / 2
-    var dfsCost = 0.0
-    var fwdCost = 0.0
-    var l = 1
-    while (l <= idx.k) {
-      var lvl = 0.0
-      wf(l).foreachValue(lvl += _)
-      dfsCost += lvl
-      if (l <= fMax) fwdCost += lvl
-      l += 1
-    }
-    val wb = walkCounts(idx.asGraph.reverse, idx.t, idx.k / 2)
-    var bwdCost = 0.0
-    l = 1
-    while (l <= idx.k / 2) {
-      wb(l).foreachValue(bwdCost += _)
-      l += 1
-    }
-    fwdCost + bwdCost < dfsCost / 4.0
+    val wf = walkCounts(idx.cor.graph, idx.s, idx.k)
+    val wb = walkCounts(idx.cor.graph.reverse, idx.t, idx.k / 2)
+    wf.take((idx.k + 1) / 2 + 1).sum + wb.sum < wf.sum / 4.0
   }
 
-  /** Enumerate all ≤k-hop s-t simple paths over the index. */
-  def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
-      onPath: ArrayBuffer[Int] => Unit): Long = {
-    val idx = buildIndex(g, s, t, k)
-    if (idx.distB(s) > k) return 0L
-    if (chooseJoin(idx)) {
-      // Join-based: reuse the canonical-split join over the pruned space.
-      var count = 0L
+  /** Enumerate all ≤k-hop s-t simple paths over the index; `onPath` sees
+    * each path in the corridor's local ids, in a reused buffer.
+    */
+  private def enumerate(idx: Index, deadline: Long)(onPath: ArrayBuffer[Int] => Unit): Long =
+    if (idx.t < 0) 0L
+    else if (chooseJoin(idx)) {
+      // Join-based: the canonical-split join over the pruned space, on the
+      // corridor's distances rather than a second search.
       val buf = new ArrayBuffer[Int]()
-      JoinEnum.enumerate(idx.asGraph, s, t, k, deadline) { full =>
-        count += 1
-        buf.clear(); full.foreach(buf += _)
-        onPath(buf)
+      JoinEnum.join(idx.cor.graph, idx.s, idx.t, idx.k, idx.cor.dists.toAll, idx.cor.dists.fromAll, deadline) {
+        full => buf.clear(); buf ++= full; onPath(buf)
       }
-      count
-    } else {
-      dfsEnumerate(idx, deadline)(onPath)
-    }
-  }
+    } else dfsEnumerate(idx, deadline)(onPath)
 
   private def dfsEnumerate(idx: Index, deadline: Long)(onPath: ArrayBuffer[Int] => Unit): Long = {
     var count   = 0L
     var steps   = 0
-    val g       = idx.asGraph
+    val g       = idx.cor.graph
+    val distB   = idx.cor.dists.fromAll
     val onStack = new Array[Boolean](g.n)
     val stack   = new ArrayBuffer[Int]()
     val k       = idx.k
@@ -134,7 +105,7 @@ object PathEnum {
         val nxt = g.outDst(j)
         // Index adjacency is sorted by Δ(·,t); once the remaining budget is
         // insufficient for the closest remaining neighbor, stop early.
-        if (idx.distB(nxt) > k - depth - 1) return
+        if (distB(nxt) > k - depth - 1) return
         if (!onStack(nxt)) {
           onStack(nxt) = true; stack += nxt
           dfs(nxt, depth + 1)
@@ -149,15 +120,16 @@ object PathEnum {
   }
 
   def count(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Long =
-    enumerate(g, s, t, k, deadline)(_ => ())
+    enumerate(buildIndex(g, s, t, k), deadline)(_ => ())
 
   /** SPG via enumeration: union the edges of every output path. */
   def spg(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Set[Long] = {
+    val idx   = buildIndex(g, s, t, k)
     val edges = mutable.Set[Long]()
-    enumerate(g, s, t, k, deadline) { stack =>
+    enumerate(idx, deadline) { stack =>
       var i = 1
       while (i < stack.length) { edges += LocalGraph.enc(stack(i - 1), stack(i)); i += 1 }
     }
-    edges.toSet
+    idx.cor.global(edges.toArray).toSet
   }
 }

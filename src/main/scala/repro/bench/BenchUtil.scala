@@ -9,8 +9,15 @@ package repro.bench
   */
 object BenchUtil {
 
-  def queriesPerPoint: Int =
-    sys.env.get("REPRO_QUERIES").map(_.toInt).getOrElse(12)
+  def queriesPerPoint: Int = queriesPerPoint(sys.env.get("REPRO_QUERIES"))
+
+  /** The value of REPRO_QUERIES, if set, as a count of at least 1. */
+  private[bench] def queriesPerPoint(value: Option[String]): Int =
+    value.fold(12) { v =>
+      val n = v.trim.toIntOption.getOrElse(0)
+      require(n >= 1, s"REPRO_QUERIES must be an integer >= 1, got '$v'")
+      n
+    }
 
   def timeoutMs: Long =
     sys.env.get("REPRO_TIMEOUT_MS").map(_.toLong).getOrElse(2000L)

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Bounded shortest-distance computation (§3.3 of the paper).
   *
   * EVE needs Δ(s,y) and Δ(y,t) for exactly the vertices y that can lie on a
@@ -26,10 +24,13 @@ import scala.collection.mutable
   * stops at depth sum k−1, not §3.3's k (DESIGN.md §6 gives the argument).
   * Every search over a [[LocalGraph]] CSR runs
   * on one level-synchronous queue kernel over a pooled [[Bfs.Scratch]], so a
-  * query touches only the vertices it reaches; [[Bfs.distances]] and
-  * [[Bfs.bounded]] copy its arrays out. [[Bfs.nearest]] is the one search
-  * over an edge-id CSR, which the verifier's §5.3 distance-to-boundary
-  * ordering uses.
+  * query touches only the vertices it reaches. [[Corridor]] reads a search
+  * off the scratch into the query's G^k_st: EVE, KHSQ(+) and PathEnum all
+  * build it that way. [[Bfs.bounded]] copies one side's array out, n
+  * entries, for callers that need distances over the whole graph (JOIN,
+  * BC-DFS and the query generator); [[Bfs.distances]] copies both.
+  * [[Bfs.nearest]] is the one search over an edge-id CSR, which the
+  * verifier's §5.3 distance-to-boundary ordering uses.
   */
 object Bfs {
 
@@ -253,25 +254,4 @@ object Bfs {
     * Δ(s,u)+1+Δ(v,t) ≤ k. Written so that Inf operands cannot overflow.
     */
   @inline def inWindow(fromSu: Int, toTv: Int, k: Int): Boolean = toTv <= k - 1 - fromSu
-
-  /** Every edge of G inside the window (the edge set of G^k_st), encoded
-    * via [[LocalGraph.enc]] and in source order.
-    */
-  def window(g: LocalGraph, d: Dists, k: Int): Array[Long] = {
-    val out = new mutable.ArrayBuilder.ofLong
-    var u = 0
-    while (u < g.n) {
-      val du = d.fromS(u)
-      if (du < k) {
-        var j = g.outOff(u)
-        while (j < g.outOff(u + 1)) {
-          val v = g.outDst(j)
-          if (inWindow(du, d.toT(v), k)) out += LocalGraph.enc(u, v)
-          j += 1
-        }
-      }
-      u += 1
-    }
-    out.result()
-  }
 }

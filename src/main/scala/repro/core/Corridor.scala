@@ -35,6 +35,14 @@ final class Corridor private (
 
 object Corridor {
 
+  /** The corridor of query (s, t) under `mode`'s distance search, built on
+    * a borrowed scratch; empty (no vertices) when Δ(s,t) > k.
+    */
+  def of(g: LocalGraph, s: Int, t: Int, k: Int, mode: Bfs.SearchMode): Corridor = {
+    g.requireQuery(s, t, k)
+    Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); Corridor(g, sc, k) }
+  }
+
   /** The corridor of the query whose bounded distances `sc` holds, read
     * from the forward visit list: every corridor vertex has an exact, so
     * finite, Δ(s,·) and was reached forward. Elsewhere the distances only

@@ -95,9 +95,8 @@ object Eve {
       config: EveConfig = EveConfig.Default,
       deadline: Long = Deadline.None,
   ): EveResult = {
-    require(s >= 0 && s < g.n && t >= 0 && t < g.n, s"query endpoints ($s,$t) out of range [0,${g.n})")
+    g.requireQuery(s, t, k)
     require(s != t, "query requires s != t")
-    require(k >= 1, "hop constraint must be >= 1")
 
     val t0 = System.nanoTime()
     // Under pruning the corridor, else distances over the whole graph; null

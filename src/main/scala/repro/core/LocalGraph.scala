@@ -67,6 +67,14 @@ final class LocalGraph(
     out
   }
 
+  /** Rejects a query <s,t,k> whose endpoints lie outside [0, n) or whose
+    * hop constraint is below 1.
+    */
+  def requireQuery(s: Int, t: Int, k: Int): Unit = {
+    require(s >= 0 && s < n && t >= 0 && t < n, s"query endpoints ($s,$t) out of range [0,$n)")
+    require(k >= 1, "hop constraint must be >= 1")
+  }
+
   /** True iff edge (u,v) exists (binary search on the sorted out-list). */
   def hasEdge(u: Int, v: Int): Boolean =
     u >= 0 && u < n && java.util.Arrays.binarySearch(outDst, outOff(u), outOff(u + 1), v) >= 0

@@ -73,6 +73,8 @@ object QueryRunner {
       timeoutMs: Long,
       warmup: Boolean = true,
   ): BatchResult = {
+    // Spark rejects an RDD of zero partitions.
+    if (queries.isEmpty) return BatchResult(algo.name, Seq.empty)
     val sc  = spark.sparkContext
     val bcG = sc.broadcast(g)
     // Warmup fans out wide; the measured pass caps concurrency at 4 tasks so

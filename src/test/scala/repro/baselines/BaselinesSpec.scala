@@ -116,10 +116,28 @@ class BaselinesSpec extends SparkSpec {
 
   test("PathEnum index prunes edges outside the distance window") {
     import PaperGraph._
-    val idx = PathEnum.buildIndex(graph, s, t, 4)
+    val cor = PathEnum.buildIndex(graph, s, t, 4).cor
+    def outAdj(v: Int): Seq[Int] = cor.graph.outAdj(cor.local(v)).toSeq.map(cor.ids)
     // e(b,j): Δ(s,b)=2, Δ(j,t)=3 -> 2+1+Δ(j,t)=6 > 4, pruned from the index.
-    assert(!idx.asGraph.outAdj(b).contains(j))
+    assert(!outAdj(b).contains(j))
     // e(s,c): 0+1+1 <= 4, kept.
-    assert(idx.asGraph.outAdj(s).contains(c))
+    assert(outAdj(s).contains(c))
+  }
+
+  test("PathEnum allocates in proportion to the corridor, not to |V| (n = 200,000, k = 3)") {
+    val g  = GraphGen.powerLaw(200000, 600000, alpha = 0.9, seed = 31)
+    val qs = GraphGen.queries(g, 3, 40, seed = 9)
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    def pass(): Long = {
+      val a0 = mx.getCurrentThreadAllocatedBytes
+      qs.foreach { case (s, t) => PathEnum.count(g, s, t, 3) }
+      mx.getCurrentThreadAllocatedBytes - a0
+    }
+    pass(); pass() // pooled scratch and its visit lists at their final size
+    val perQuery = pass() / qs.length
+    val corridor = qs.map { case (s, t) => PathEnum.buildIndex(g, s, t, 3).cor.ids.length }.max
+    // Two n-sized Int arrays alone would be 1,600,000 bytes.
+    assert(perQuery < 128 * 1024, s"$perQuery bytes per query; largest corridor $corridor vertices")
   }
 }

@@ -22,8 +22,8 @@ class KhsqSpec extends SparkSpec {
         if (s != t) {
           val ref = reference(g, s, t, k)
           assert(Khsq.edges(g, s, t, k, plus = false) == ref)
-          val index = PathEnum.buildIndex(g, s, t, k).asGraph
-          assert(index.edges.map { case (u, v) => LocalGraph.enc(u, v) }.toSet == ref, "PathEnum index")
+          val index = PathEnum.buildIndex(g, s, t, k).cor
+          assert(index.global(index.graph.encodedEdges).toSet == ref, "PathEnum index")
           val d   = Bfs.distances(g, s, t, k, Bfs.SearchMode.Adaptive)
           val evF = EssentialVertices.propagate(g, s, t, k, d.fromAll, pruning = true)
           val evB = EssentialVertices.propagate(g.reverse, t, s, k, d.toAll, pruning = true)

@@ -4,8 +4,8 @@ import repro.SparkSpec
 import repro.data.GraphGen
 
 /** [[Corridor]] against its definition: the vertices with
-  * Δ(s,y)+Δ(y,t) ≤ k, the window edges of [[Bfs.window]], and the exact
-  * distances, for every search mode.
+  * Δ(s,y)+Δ(y,t) ≤ k, the window edges Δ(s,u)+1+Δ(v,t) ≤ k, and the exact
+  * distances, for every search mode; all from two full k-bounded BFS.
   */
 class CorridorSpec extends SparkSpec {
 
@@ -19,13 +19,13 @@ class CorridorSpec extends SparkSpec {
     test(s"corridor vertices, window edges and distances ($gName, $mode, k=$k)") {
       for ((s, t) <- GraphGen.queries(g, k, 5, seed = k * 7L) :+ ((0, g.n - 1))) {
         val q   = s"($s,$t)"
-        val d   = Bfs.distances(g, s, t, k, mode)
-        val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); Corridor(g, sc, k) }
+        val cor = Corridor.of(g, s, t, k, mode)
         val dS  = Bfs.bounded(g.outOff, g.outDst, s, k)
         val dT  = Bfs.bounded(g.inOff, g.inSrc, t, k)
         assert(cor.ids.toSeq == (0 until g.n).filter(y => dS(y) + dT(y) <= k), q)
         assert((1 until cor.ids.length).forall(i => cor.ids(i - 1) < cor.ids(i)), q)
-        assert(cor.global(cor.graph.encodedEdges).sameElements(Bfs.window(g, d, k)), q)
+        val window = g.encodedEdges.filter(e => Bfs.inWindow(dS(LocalGraph.src(e)), dT(LocalGraph.dst(e)), k))
+        assert(cor.global(cor.graph.encodedEdges).sameElements(window), q)
         val rebuilt = LocalGraph.fromEncodedEdges(cor.graph.n, cor.graph.encodedEdges)
         assert((0 until cor.graph.n).map(cor.graph.inAdj(_).toSeq) == (0 until rebuilt.n).map(rebuilt.inAdj(_).toSeq),
           s"in-lists $q")

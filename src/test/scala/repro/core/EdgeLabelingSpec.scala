@@ -127,10 +127,11 @@ class EdgeLabelingSpec extends SparkSpec {
     assert(!set.contains(LocalGraph.enc(2, 0)), "edge t->s kept")
   }
 
-  /** Algorithm 2 over [[Bfs.window]]'s edge list, one [[EdgeLabeling.labelEdge]] per edge. */
+  /** Algorithm 2 over the window edges of `g`, one [[EdgeLabeling.labelEdge]] per edge. */
   private def labelWindow(g: LocalGraph, s: Int, t: Int, k: Int, d: Bfs.Dists,
                           evF: EvIndex, evB: EvIndex): Seq[(Long, Byte)] = {
-    Bfs.window(g, d, k).toSeq
+    g.encodedEdges.toSeq
+      .filter(e => Bfs.inWindow(d.fromS(LocalGraph.src(e)), d.toT(LocalGraph.dst(e)), k))
       .map { e =>
         val (u, v) = (LocalGraph.src(e), LocalGraph.dst(e))
         (e, EdgeLabeling.labelEdge(k, s, t, u, v, evF, evB))
@@ -144,7 +145,7 @@ class EdgeLabelingSpec extends SparkSpec {
     test(s"upperBound labels exactly the window edges, on the whole graph and the corridor ($gName, k=$k)") {
       for ((s, t) <- GraphGen.queries(g, k, 5, seed = k * 13L)) {
         val d   = Bfs.distances(g, s, t, k, Bfs.SearchMode.Single)
-        val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, Bfs.SearchMode.Single, Deadline.None); Corridor(g, sc, k) }
+        val cor = Corridor.of(g, s, t, k, Bfs.SearchMode.Single)
         for ((h, hs, ht, hd) <- Seq((g, s, t, d), (cor.graph, cor.local(s), cor.local(t), cor.dists))) {
           val evF = EssentialVertices.propagate(h, hs, ht, k, hd.fromAll, pruning = false)
           val evB = EssentialVertices.propagate(h.reverse, ht, hs, k, hd.toAll, pruning = false)

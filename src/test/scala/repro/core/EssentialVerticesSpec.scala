@@ -142,7 +142,7 @@ class EssentialVerticesSpec extends SparkSpec {
     val g  = GraphGen.dataset("wn").build() // 4,000 vertices, d_avg 18, power-law
     val k  = 6
     val corridors = GraphGen.queries(g, k, 20, seed = 3).map { case (s, t) =>
-      val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, Bfs.SearchMode.Adaptive, Deadline.None); Corridor(g, sc, k) }
+      val cor = Corridor.of(g, s, t, k, Bfs.SearchMode.Adaptive)
       (cor, cor.local(s), cor.local(t))
     }
     val mx = java.lang.management.ManagementFactory.getThreadMXBean

@@ -175,7 +175,7 @@ class VerificationSpec extends SparkSpec {
     val g = GraphGen.dataset("wn").build() // 4,000 vertices, d_avg 18, power-law
     val k = 6
     val ubs = GraphGen.queries(g, k, 20, seed = 3).map { case (s, t) =>
-      val cor = Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, Bfs.SearchMode.Adaptive, Deadline.None); Corridor(g, sc, k) }
+      val cor = Corridor.of(g, s, t, k, Bfs.SearchMode.Adaptive)
       val (cs, ct) = (cor.local(s), cor.local(t))
       val evF = EssentialVertices.propagate(cor.graph, cs, ct, k, cor.dists.fromAll, pruning = true)
       val evB = EssentialVertices.propagate(cor.graph.reverse, ct, cs, k, cor.dists.toAll, pruning = true)

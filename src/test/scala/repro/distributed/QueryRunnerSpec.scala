@@ -39,15 +39,23 @@ class QueryRunnerSpec extends SparkSpec {
 
   test("a query that throws fails alone, with its error recorded") {
     val g   = GraphGen.uniform(200, 800, 4)
-    val bad = (g.n + 5, 0) // out of range: Eve.run throws
+    val bad = (g.n + 5, 0) // out of range: every algorithm rejects it
     val qs  = GraphGen.queries(g, 5, 6, seed = 3) :+ bad
-    val r   = QueryRunner.run(spark, g, qs, 5, SpgAlgo.EveAlgo(), timeoutMs = 30000)
-    assert(r.outcomes.size == qs.size)
-    val (failed, ok) = r.outcomes.partition(_.error.isDefined)
-    assert(failed.map(o => (o.s, o.t)) == Seq(bad))
-    assert(failed.head.edges == -1 && !failed.head.timedOut)
-    assert(failed.head.error.get.contains("out of range"))
-    assert(ok.forall(o => o.edges > 0 && !o.timedOut))
+    for (algo <- Seq(SpgAlgo.EveAlgo(), SpgAlgo.JoinAlgo, SpgAlgo.PathEnumAlgo, SpgAlgo.BcDfsAlgo)) {
+      val r = QueryRunner.run(spark, g, qs, 5, algo, timeoutMs = 30000)
+      assert(r.outcomes.size == qs.size, algo.name)
+      val (failed, ok) = r.outcomes.partition(_.error.isDefined)
+      assert(failed.map(o => (o.s, o.t)) == Seq(bad), algo.name)
+      assert(failed.head.edges == -1 && !failed.head.timedOut, algo.name)
+      assert(failed.head.error.get.contains("out of range"), s"${algo.name}: ${failed.head.error.get}")
+      assert(ok.forall(o => o.edges > 0 && !o.timedOut), algo.name)
+    }
+  }
+
+  test("an empty batch yields an empty result") {
+    val g = GraphGen.uniform(50, 150, 4)
+    val r = QueryRunner.run(spark, g, Seq.empty, 4, SpgAlgo.EveAlgo(), timeoutMs = 30000)
+    assert(r.algo == "EVE" && r.outcomes.isEmpty && r.totalNs == 0)
   }
 
   test("totals aggregate per-query times") {
