@@ -19,8 +19,15 @@ object BenchUtil {
       n
     }
 
-  def timeoutMs: Long =
-    sys.env.get("REPRO_TIMEOUT_MS").map(_.toLong).getOrElse(2000L)
+  def timeoutMs: Long = timeoutMs(sys.env.get("REPRO_TIMEOUT_MS"))
+
+  /** The value of REPRO_TIMEOUT_MS, if set, as a deadline of at least 1 ms. */
+  private[bench] def timeoutMs(value: Option[String]): Long =
+    value.fold(2000L) { v =>
+      val ms = v.trim.toLongOption.getOrElse(0L)
+      require(ms >= 1, s"REPRO_TIMEOUT_MS must be an integer >= 1, got '$v'")
+      ms
+    }
 
   def fmtMs(ms: Double): String =
     if (ms < 0) "INF"

@@ -1,14 +1,14 @@
 package repro.distributed
 
 import org.apache.spark.graphx._
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
 
 /** EVE over a GraphX vertex/edge-RDD graph.
   *
   * Only the work that scales with the whole graph runs on the cluster:
-  *  1. bounded BFS distances from s and to t — two Pregel runs;
+  *  1. bounded BFS distances from s and to t — one Pregel run on a
+  *     (Δ(s,v), Δ(v,t)) pair ([[distances]]);
   *  2. one triplet filter that keeps the edges of the window G^k_st,
   *     Δ(s,u) + 1 + Δ(v,t) ≤ k ([[repro.core.Bfs.inWindow]]).
   *
@@ -17,35 +17,35 @@ import repro.core._
   * [[repro.core.Eve]] on the collected window builds the same corridor and
   * the same SPG (DESIGN.md §6).
   *
-  * Entry/exit are DataFrames of (src, dst) Long columns. The VertexIds are
-  * compacted to dense Int ids once at entry and mapped back at exit.
+  * Entry/exit are DataFrames of (src, dst) Long columns. The graph runs on
+  * the input's own VertexIds; only the window's vertices are compacted to
+  * dense Int ids, in ascending order, and mapped back at exit.
   */
 object DistEve {
 
   private val Inf = Bfs.Inf
 
-  /** k-bounded BFS distance from `root` via Pregel. `reverse` walks edges
-    * backwards (distance *to* root).
+  private def min2(a: (Int, Int), b: (Int, Int)): (Int, Int) =
+    (math.min(a._1, b._1), math.min(a._2, b._2))
+
+  /** (Δ(s,v), Δ(v,t)) at every vertex v of `graph`, Inf beyond k. Δs travels
+    * along out-edges and Δt against them, in the same supersteps.
     */
-  private[distributed] def pregelDist(
-      graph: Graph[Int, _], root: VertexId, k: Int, reverse: Boolean): VertexRDD[Int] = {
-    val init = graph.mapVertices((id, _) => if (id == root) 0 else Inf)
-    val dir  = if (reverse) EdgeDirection.In else EdgeDirection.Out
-    val res = Pregel(init, Inf, maxIterations = k, activeDirection = dir)(
-      vprog = (_, attr, msg) => math.min(attr, msg),
-      sendMsg = triplet =>
-        if (!reverse) {
-          if (triplet.srcAttr != Inf && triplet.srcAttr + 1 < triplet.dstAttr)
-            Iterator((triplet.dstId, triplet.srcAttr + 1))
-          else Iterator.empty
-        } else {
-          if (triplet.dstAttr != Inf && triplet.dstAttr + 1 < triplet.srcAttr)
-            Iterator((triplet.srcId, triplet.dstAttr + 1))
-          else Iterator.empty
+  private[distributed] def distances[VD](
+      graph: Graph[VD, Int], s: VertexId, t: VertexId, k: Int): Graph[(Int, Int), Int] = {
+    val init = graph.mapVertices((id, _) => (if (id == s) 0 else Inf, if (id == t) 0 else Inf))
+    try
+      Pregel(init, (Inf, Inf), maxIterations = k, activeDirection = EdgeDirection.Either)(
+        vprog = (_, attr, msg) => min2(attr, msg),
+        sendMsg = tr => {
+          val fwd = tr.srcAttr._1 + 1
+          val bwd = tr.dstAttr._2 + 1
+          (if (fwd < tr.dstAttr._1) Iterator.single((tr.dstId, (fwd, Inf))) else Iterator.empty) ++
+            (if (bwd < tr.srcAttr._2) Iterator.single((tr.srcId, (Inf, bwd))) else Iterator.empty)
         },
-      mergeMsg = math.min,
-    )
-    res.vertices
+        mergeMsg = min2,
+      )
+    finally init.unpersist(blocking = false)
   }
 
   /** Compute SPG_k(s,t) and return its edges as a DataFrame (src, dst). */
@@ -53,43 +53,28 @@ object DistEve {
     require(s != t, "query requires s != t")
     require(k >= 1, "hop constraint must be >= 1")
     import spark.implicits._
-    def empty: DataFrame = Seq.empty[(Long, Long)].toDF("src", "dst")
-    val sc = spark.sparkContext
-    val rawEdges: RDD[(VertexId, VertexId)] =
+    val graph = Graph.fromEdgeTuples(
       edgesDf.select("src", "dst").rdd
         .map(r => (r.getLong(0), r.getLong(1)))
-        .filter { case (u, v) => u != v }
-        .distinct()
+        .filter { case (u, v) => u != v },
+      defaultValue = 0)
+    val dist = distances(graph, s, t, k)
+    // The window's edges; none when Δ(s,t) > k or an endpoint has no edges.
+    val window =
+      try dist.triplets
+        .filter(tr => Bfs.inWindow(tr.srcAttr._1, tr.dstAttr._2, k))
+        .map(tr => (tr.srcId, tr.dstId))
+        .collect()
+      finally { dist.unpersist(blocking = false); graph.unpersist(blocking = false) }
+    if (window.isEmpty) return Seq.empty[(Long, Long)].toDF("src", "dst")
 
-    // Dense id i stands for VertexId ids(i).
-    val ids = rawEdges.flatMap { case (u, v) => Iterator(u, v) }.distinct().collect().sorted
-    require(ids.length < Int.MaxValue, s"${ids.length} vertices do not fit Int ids")
-    val sC = java.util.Arrays.binarySearch(ids, s)
-    val tC = java.util.Arrays.binarySearch(ids, t)
-    if (sC < 0 || tC < 0) return empty // an endpoint without edges
-    val bcIds = sc.broadcast(ids)
-    val edgeRdd: RDD[(VertexId, VertexId)] = rawEdges.mapPartitions { it =>
-      val ids = bcIds.value
-      it.map { case (u, v) =>
-        (java.util.Arrays.binarySearch(ids, u).toLong, java.util.Arrays.binarySearch(ids, v).toLong)
-      }
-    }
-    val graph = Graph.fromEdgeTuples(edgeRdd, defaultValue = 0).cache()
-
-    val dF = pregelDist(graph, sC, k, reverse = false)
-    val dB = pregelDist(graph, tC, k, reverse = true)
-    // The window's edges in dense ids; none when Δ(s,t) > k.
-    val window = graph
-      .outerJoinVertices(dF)((_, _, d) => d.getOrElse(Inf))
-      .outerJoinVertices(dB)((_, df, d) => (df, d.getOrElse(Inf)))
-      .triplets
-      .flatMap { tr =>
-        if (Bfs.inWindow(tr.srcAttr._1, tr.dstAttr._2, k))
-          Iterator.single(LocalGraph.enc(tr.srcId.toInt, tr.dstId.toInt))
-        else Iterator.empty
-      }
-      .collect()
-    val spg = Eve.spg(LocalGraph.fromEncodedEdges(ids.length, window), sC, tC, k)
+    // Dense id i stands for VertexId ids(i). A non-empty window holds s's
+    // and t's edges on a shortest s-t path, so both endpoints are in `ids`.
+    val ids = window.flatMap { case (u, v) => Array(u, v) }.distinct.sorted
+    def dense(v: VertexId): Int = java.util.Arrays.binarySearch(ids, v)
+    val local = LocalGraph.fromEncodedEdges(
+      ids.length, window.map { case (u, v) => LocalGraph.enc(dense(u), dense(v)) })
+    val spg = Eve.spg(local, dense(s), dense(t), k)
 
     // Dense ids are ranks of the VertexIds, so the output stays sorted.
     spg.toSeq

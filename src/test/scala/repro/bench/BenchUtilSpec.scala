@@ -12,4 +12,14 @@ class BenchUtilSpec extends AnyFunSuite {
       assert(e.getMessage.contains("REPRO_QUERIES"), bad)
     }
   }
+
+  test("REPRO_TIMEOUT_MS defaults to 2000 and must be an integer >= 1") {
+    assert(BenchUtil.timeoutMs(None) == 2000L)
+    assert(BenchUtil.timeoutMs(Some("500")) == 500L)
+    assert(BenchUtil.timeoutMs(Some("1")) == 1L)
+    for (bad <- Seq("0", "-5", "2s", "")) {
+      val e = intercept[IllegalArgumentException](BenchUtil.timeoutMs(Some(bad)))
+      assert(e.getMessage.contains("REPRO_TIMEOUT_MS"), bad)
+    }
+  }
 }

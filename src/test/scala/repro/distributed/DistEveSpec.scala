@@ -5,7 +5,7 @@ import org.apache.spark.graphx.Graph
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec}
 import repro.baselines.BruteForce
-import repro.core.{Eve, LocalGraph, PaperGraph, SpgOracle}
+import repro.core.{Bfs, Eve, LocalGraph, PaperGraph, SpgOracle}
 import repro.data.GraphGen
 
 /** The GraphX dataflow must agree with the sequential EVE (and with DuckDB)
@@ -71,13 +71,14 @@ class DistEveSpec extends SparkSpec {
     assert(distSpg(g, s, t, k) == exp)
   }
 
-  /** DistEve with every vertex v relabelled to a sparse VertexId above 2^32
-    * (in shuffled order), answers mapped back to the original ids.
+  /** DistEve with every vertex v relabelled to the sparse VertexId
+    * `label(p)` for a shuffled rank p, answers mapped back to the original ids.
     */
-  private def relabelledSpg(g: LocalGraph, s: Int, t: Int, k: Int, seed: Int): Set[(Long, Long)] = {
+  private def relabelledSpg(g: LocalGraph, s: Int, t: Int, k: Int, seed: Int,
+                            label: Int => Long): Set[(Long, Long)] = {
     import spark.implicits._
     val perm  = new scala.util.Random(seed).shuffle((0 until g.n).toVector)
-    val id    = perm.map(p => (1L << 32) + 1000003L * p + 17)
+    val id    = perm.map(label)
     val back  = id.zipWithIndex.toMap
     val edges = g.edges.map { case (u, v) => (id(u), id(v)) }.toSeq.toDF("src", "dst")
     DistEve.spg(spark, edges, id(s), id(t), k).collect()
@@ -92,7 +93,9 @@ class DistEveSpec extends SparkSpec {
       val g = GraphGen.uniform(24, 72, seed * 13 + 5)
       val k = 4 + seed
       val (s, t) = GraphGen.queries(g, k, 1, seed).head
-      assert(relabelledSpg(g, s, t, k, seed) == localSpg(g, s, t, k))
+      // VertexIds outside Int's range, above 2^32 and below zero.
+      for (label <- Seq((p: Int) => (1L << 32) + 1000003L * p + 17, (p: Int) => -(1L << 40) + 7919L * p))
+        assert(relabelledSpg(g, s, t, k, seed, label) == localSpg(g, s, t, k))
     }
   }
 
@@ -161,23 +164,53 @@ class DistEveSpec extends SparkSpec {
 
   test("a larger k adds only the Pregel rounds' Spark jobs") {
     // A 24-cycle with chords i -> i+2: both distance searches stay active
-    // through k=8, so each Pregel run takes every round it is allowed.
+    // through k=8, so the Pregel run takes every round it is allowed.
     val g = LocalGraph.fromEdges(24, (0 until 24).flatMap(i => Seq((i, (i + 1) % 24), (i, (i + 2) % 24))))
     val (s, t) = (0, 6)
     val edges = SpgOracle.edgesDf(spark, g).cache()
     edges.count()
-    val graph = Graph.fromEdgeTuples(
-      spark.sparkContext.parallelize(g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toSeq), 0).cache()
-    def pregelJobs(k: Int) = jobsOf {
-      DistEve.pregelDist(graph, s, k, reverse = false)
-      DistEve.pregelDist(graph, t, k, reverse = true)
-    }
+    val graph = graphOf(g).cache()
+    def pregelJobs(k: Int) = jobsOf(DistEve.distances(graph, s, t, k).unpersist(blocking = false))
     def spgJobs(k: Int) = jobsOf(DistEve.spg(spark, edges, s, t, k).collect())
     try {
       val pregel = pregelJobs(8) - pregelJobs(3)
       val spg    = spgJobs(8) - spgJobs(3)
       assert(pregel > 0)
-      assert(spg <= pregel, s"k=8 starts $spg more jobs than k=3; the two Pregel runs account for $pregel")
+      assert(spg <= pregel, s"k=8 starts $spg more jobs than k=3; the Pregel run accounts for $pregel")
     } finally { graph.unpersist(blocking = true); edges.unpersist(blocking = true) }
+  }
+
+  private def graphOf(g: LocalGraph): Graph[Int, Int] =
+    Graph.fromEdgeTuples(spark.sparkContext.parallelize(g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toSeq), 0)
+
+  for ((kind, seed) <- Seq("uniform" -> 3, "power-law" -> 5)) {
+    test(s"one Pregel run gives both bounded BFS distances at every vertex ($kind graph)") {
+      val g = if (kind == "uniform") GraphGen.uniform(40, 150, seed) else GraphGen.powerLaw(40, 150, 0.9, seed)
+      val graph = graphOf(g)
+      val rnd   = new scala.util.Random(seed)
+      val ends  = g.edges.toVector
+      try for (k <- 1 to 6) {
+        // Endpoints with edges, so that GraphX knows them as vertices.
+        val s = ends(rnd.nextInt(ends.size))._1
+        val t = Iterator.continually(ends(rnd.nextInt(ends.size))._2).find(_ != s).get
+        val dist = DistEve.distances(graph, s, t, k)
+        val got  = try dist.vertices.collect().toMap finally dist.unpersist(blocking = false)
+        val dS = Bfs.bounded(g.outOff, g.outDst, s, k)
+        val dT = Bfs.bounded(g.inOff, g.inSrc, t, k)
+        for (v <- 0 until g.n)
+          assert(got.getOrElse(v.toLong, (Bfs.Inf, Bfs.Inf)) == ((dS(v), dT(v))), s"k=$k ($s,$t) v=$v")
+      } finally graph.unpersist(blocking = false)
+    }
+  }
+
+  test("DistEve leaves no RDD persisted") {
+    val edges = SpgOracle.edgesDf(spark, GraphGen.uniform(30, 100, 41))
+    // Compared as id sets: old entries may leave the map when their RDDs are
+    // garbage-collected, but no RDD that DistEve persists may stay.
+    def persisted = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    val before = persisted
+    for ((s, t, k) <- Seq((0L, 7L, 5), (3L, 11L, 2), (0L, 1000L, 4)))
+      DistEve.spg(spark, edges, s, t, k).collect()
+    assert((persisted -- before).isEmpty)
   }
 }
