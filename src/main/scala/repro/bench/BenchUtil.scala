@@ -6,6 +6,7 @@ package repro.bench
   * smoke runs and fuller sweeps:
   *   - REPRO_QUERIES     queries per (dataset, k) point   (default 12)
   *   - REPRO_TIMEOUT_MS  per-query deadline, reported INF (default 2000)
+  *   - REPRO_FULL        1 = the paper's full dataset lists (default 0)
   */
 object BenchUtil {
 
@@ -28,6 +29,14 @@ object BenchUtil {
       require(ms >= 1, s"REPRO_TIMEOUT_MS must be an integer >= 1, got '$v'")
       ms
     }
+
+  def full: Boolean = full(sys.env.get("REPRO_FULL"))
+
+  /** The value of REPRO_FULL, if set: `1` = the full dataset lists, `0` the short ones. */
+  private[bench] def full(value: Option[String]): Boolean = {
+    require(value.forall(v => v == "0" || v == "1"), s"REPRO_FULL must be 0 or 1, got '${value.get}'")
+    value.contains("1")
+  }
 
   def fmtMs(ms: Double): String =
     if (ms < 0) "INF"

@@ -24,7 +24,7 @@ object Fig11Ablation {
     * the s-t corridor, which at mini scale happens on the sparse graphs.
     */
   def datasetNames: Seq[String] =
-    if (sys.env.get("REPRO_FULL").contains("1")) GraphGen.datasets.map(_.name)
+    if (BenchUtil.full) GraphGen.datasets.map(_.name)
     else Seq("ps", "ye", "gg", "tw", "wt", "lj", "dl")
 
   val variants: Seq[(String, EveConfig)] = Seq(

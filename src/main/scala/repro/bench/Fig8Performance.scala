@@ -16,7 +16,7 @@ object Fig8Performance {
     * REPRO_FULL=1), to keep default wall time in minutes.
     */
   def datasetNames: Seq[String] =
-    if (sys.env.get("REPRO_FULL").contains("1")) GraphGen.datasets.map(_.name)
+    if (BenchUtil.full) GraphGen.datasets.map(_.name)
     else Seq("ps", "ye", "wn", "uk", "sf", "bk", "tw", "bs", "gg", "lj")
 
   def ks: Seq[Int] = Seq(4, 6)

@@ -21,7 +21,7 @@ import repro.data.GraphGen
 object Table4Speedups {
 
   def datasetNames: Seq[String] =
-    if (sys.env.get("REPRO_FULL").contains("1"))
+    if (BenchUtil.full)
       Seq("ps", "sf", "bk", "tw", "bs", "wt", "lj", "dl", "fr", "hg")
     else Seq("ps", "sf", "bk", "tw", "bs", "lj")
 

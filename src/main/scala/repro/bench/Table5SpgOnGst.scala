@@ -14,7 +14,7 @@ import repro.data.GraphGen
 object Table5SpgOnGst {
 
   def datasetNames: Seq[String] =
-    if (sys.env.get("REPRO_FULL").contains("1"))
+    if (BenchUtil.full)
       Seq("wn", "uk", "sf", "bk", "tw", "bs", "gg", "wt", "lj", "dl", "fr")
     else Seq("wn", "uk", "sf", "bk", "tw", "bs", "gg", "lj")
 

@@ -22,8 +22,9 @@ package repro.core
   * Δ(s,y)+Δ(y,t) ≤ k (property-tested), encoded as Int arrays with
   * [[Bfs.Inf]] for "unknown / > k". Phase 1 of the bi-directional modes
   * stops at depth sum k−1, not §3.3's k (DESIGN.md §6 gives the argument).
-  * Every search over a [[LocalGraph]] CSR runs
-  * on one level-synchronous queue kernel over a pooled [[Bfs.Scratch]], so a
+  * Every search over a [[LocalGraph]] CSR runs on one level-synchronous
+  * queue kernel over its thread's [[Bfs.Scratch]], which grows to the
+  * largest graph the thread searched and serves any smaller one, so a
   * query touches only the vertices it reaches. [[Corridor]] reads a search
   * off the scratch into the query's G^k_st: EVE, KHSQ(+) and PathEnum all
   * build it that way. [[Bfs.bounded]] copies one side's array out, n
@@ -109,10 +110,11 @@ object Bfs {
     }
   }
 
-  /** Reusable state of one search on graphs of `n` vertices. Outside a
-    * search every entry of `fwd.dist` and `bwd.dist` is Inf; [[release]]
+  /** Reusable state of one search on graphs of at most `n` vertices. Outside
+    * a search every entry of `fwd.dist` and `bwd.dist` is Inf; [[release]]
     * restores that through the two visit lists alone, so a search costs
-    * O(reached), not O(n).
+    * O(reached), not O(n). A search on a smaller graph never touches the
+    * entries past its own vertices, so they stay Inf too.
     */
   final class Scratch private (val n: Int) {
     /** Δ(s,·) from s over G; Δ(·,t) from t over G^r. */
@@ -149,49 +151,33 @@ object Bfs {
       bwd.expand(g.inOff, g.inSrc, k, if (bidirectional) fwd.dist else null, deadline)
     }
 
-    /** Copies of both distance arrays, independent of this scratch. */
-    def dists: Dists = Dists(java.util.Arrays.copyOf(fwd.dist, n), java.util.Arrays.copyOf(bwd.dist, n))
+    /** Copies of both distance arrays' first `n` entries. */
+    def dists(n: Int): Dists = Dists(java.util.Arrays.copyOf(fwd.dist, n), java.util.Arrays.copyOf(bwd.dist, n))
 
-    /** The thread that released this scratch last. */
-    private var owner: Thread = null
-
-    /** Reset and return to the pool; the caller must not use it afterwards. */
+    /** Reset and keep as this thread's spare scratch; do not use it afterwards. */
     def release(): Unit = {
       fwd.reset(); bwd.reset()
-      owner = Thread.currentThread()
-      Scratch.giveBack(this)
+      Scratch.spare.set(this)
     }
   }
 
   object Scratch {
-    // Idle scratches, all for graphs of `idleN` vertices (returning one of
-    // another size empties the pool), as many as ever ran at once, not one
-    // per thread. A borrow prefers the scratch its own thread released:
-    // entries written on another core cost a cache miss per line the next
-    // search touches. Guarded by `idle`.
-    private val idle = new java.util.ArrayList[Scratch]()
-    private var idleN = -1
+    // Each thread's spare scratch, if any. A borrow takes it out, so a nested
+    // borrow gets a fresh one; the release of the outermost borrow is the
+    // last to put one back.
+    private val spare = new ThreadLocal[Scratch]
 
-    /** A clean scratch for graphs of `n` vertices; [[Scratch.release]] it in
-      * a `finally`.
+    /** A clean scratch for graphs of `n` vertices: this thread's spare one if
+      * it holds at least `n`, else a new one, which replaces it at release;
+      * [[Scratch.release]] it in a `finally`.
       */
     def borrow(n: Int): Scratch = {
-      val me = Thread.currentThread()
-      val pooled = idle.synchronized {
-        var i = idle.size - 1
-        while (i > 0 && (idle.get(i).owner ne me)) i -= 1
-        if (i >= 0 && idle.get(i).n == n) idle.remove(i) else null
-      }
-      if (pooled == null) new Scratch(n) else pooled
+      val sc = spare.get
+      if (sc != null && sc.n >= n) { spare.remove(); sc } else new Scratch(n)
     }
 
-    private def giveBack(sc: Scratch): Unit = idle.synchronized {
-      if (sc.n != idleN) { idle.clear(); idleN = sc.n }
-      idle.add(sc)
-    }
-
-    /** Drop every idle scratch. */
-    private[core] def clear(): Unit = idle.synchronized(idle.clear())
+    /** Drop this thread's spare scratch. */
+    private[core] def clear(): Unit = spare.remove()
   }
 
   /** Run `body` on a borrowed scratch for `n` vertices and release it. */
@@ -248,7 +234,7 @@ object Bfs {
 
   /** Compute Δ(s,·) and Δ(·,t) bounded by k with the requested strategy. */
   def distances(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode): Dists =
-    withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); sc.dists }
+    withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); sc.dists(g.n) }
 
   /** The G^k_st window: e(u,v) lies on some ≤k-hop s-t walk iff
     * Δ(s,u)+1+Δ(v,t) ≤ k. Written so that Inf operands cannot overflow.

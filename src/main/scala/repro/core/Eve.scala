@@ -110,7 +110,7 @@ object Eve {
       // Theorem 3.6's pruning confines propagation to window edges into
       // corridor vertices (DESIGN.md §6), so under it the corridor suffices.
       if (sc.fwd.dist(t) <= k) {
-        if (config.pruning) cor = Corridor(g, sc, k) else dists = sc.dists
+        if (config.pruning) cor = Corridor(g, sc, k) else dists = sc.dists(g.n)
       }
     } finally sc.release()
 

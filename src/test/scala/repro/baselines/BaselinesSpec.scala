@@ -134,7 +134,7 @@ class BaselinesSpec extends SparkSpec {
       qs.foreach { case (s, t) => PathEnum.count(g, s, t, 3) }
       mx.getCurrentThreadAllocatedBytes - a0
     }
-    pass(); pass() // pooled scratch and its visit lists at their final size
+    pass(); pass() // the thread's scratch and its visit lists at their final size
     val perQuery = pass() / qs.length
     val corridor = qs.map { case (s, t) => PathEnum.buildIndex(g, s, t, 3).cor.ids.length }.max
     // Two n-sized Int arrays alone would be 1,600,000 bytes.

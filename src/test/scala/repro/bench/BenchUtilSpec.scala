@@ -22,4 +22,14 @@ class BenchUtilSpec extends AnyFunSuite {
       assert(e.getMessage.contains("REPRO_TIMEOUT_MS"), bad)
     }
   }
+
+  test("REPRO_FULL defaults to the short lists and must be 0 or 1") {
+    assert(!BenchUtil.full(None))
+    assert(!BenchUtil.full(Some("0")))
+    assert(BenchUtil.full(Some("1")))
+    for (bad <- Seq("true", "yes", " 1", "2", "")) {
+      val e = intercept[IllegalArgumentException](BenchUtil.full(Some(bad)))
+      assert(e.getMessage.contains("REPRO_FULL"), bad)
+    }
+  }
 }

@@ -199,7 +199,8 @@ class EveSpec extends SparkSpec {
 
   test("pooled scratch: queries interleaved over graphs of equal and different n equal fresh runs") {
     // Two graphs with n = 120, then two with n = 300: the round-robin below
-    // reuses a scratch across equal n and switches size every second query.
+    // switches size every second query, so a thread's scratch serves equal
+    // n, grows to 300 and then serves n = 120 too.
     val graphs = Seq(GraphGen.uniform(120, 330, 7), GraphGen.uniform(120, 400, 8),
                      GraphGen.powerLaw(300, 900, alpha = 0.9, seed = 11),
                      GraphGen.powerLaw(300, 1000, alpha = 0.9, seed = 12))
@@ -239,14 +240,18 @@ class EveSpec extends SparkSpec {
   test("a query allocates in proportion to its corridor, not to |V| (n = 200,000, k = 3)") {
     val g  = GraphGen.powerLaw(200000, 600000, alpha = 0.9, seed = 31)
     val qs = GraphGen.queries(g, 3, 40, seed = 9)
+    // A query on a small graph after each one: it must not cost the large
+    // graph's scratch.
+    val small = GraphGen.uniform(60, 240, 41)
+    val (ss, st) = GraphGen.queries(small, 4, 1, seed = 5).head
     val mx = java.lang.management.ManagementFactory.getThreadMXBean
       .asInstanceOf[com.sun.management.ThreadMXBean]
     def pass(): Long = {
       val a0 = mx.getCurrentThreadAllocatedBytes
-      qs.foreach { case (s, t) => Eve.run(g, s, t, 3) }
+      qs.foreach { case (s, t) => Eve.run(g, s, t, 3); Eve.run(small, ss, st, 4) }
       mx.getCurrentThreadAllocatedBytes - a0
     }
-    pass(); pass() // pooled scratch and its visit lists at their final size
+    pass(); pass() // the thread's scratch and its visit lists at their final size
     val perQuery = pass() / qs.length
     val corridor = qs.map { case (s, t) => Eve.run(g, s, t, 3).stats.corridorVertices }.max
     // Two n-sized Int arrays alone would be 1,600,000 bytes.
