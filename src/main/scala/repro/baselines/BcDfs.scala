@@ -24,7 +24,7 @@ object BcDfs {
   def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
       onPath: ArrayBuffer[Int] => Unit): Long = {
     g.requireQuery(s, t, k)
-    val distB = Bfs.bounded(g.inOff, g.inSrc, t, k)
+    val distB = Bfs.bounded(g.inOff, g.inSrc, t, k, deadline)
     if (distB(s) > k) return 0L
     var count   = 0L
     var steps   = 0

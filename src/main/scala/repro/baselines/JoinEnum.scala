@@ -62,7 +62,8 @@ object JoinEnum {
   def enumerate(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None)(
       onPath: Array[Int] => Unit): Long = {
     g.requireQuery(s, t, k)
-    join(g, s, t, k, Bfs.bounded(g.outOff, g.outDst, s, k), Bfs.bounded(g.inOff, g.inSrc, t, k), deadline)(onPath)
+    join(g, s, t, k, Bfs.bounded(g.outOff, g.outDst, s, k, deadline), Bfs.bounded(g.inOff, g.inSrc, t, k, deadline),
+      deadline)(onPath)
   }
 
   /** [[enumerate]] given Δ(s,·) as `distF` and Δ(·,t) as `distB`, each

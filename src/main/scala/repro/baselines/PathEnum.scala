@@ -25,8 +25,8 @@ object PathEnum {
     */
   final class Index(val k: Int, val cor: Corridor, val s: Int, val t: Int)
 
-  def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int): Index = {
-    val cor = Corridor.of(g, s, t, k, Bfs.SearchMode.Single)
+  def buildIndex(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Index = {
+    val cor = Corridor.of(g, s, t, k, Bfs.SearchMode.Single, deadline)
     val h   = cor.graph
     // Sort out-neighbors closest-to-target first (and symmetrically), the
     // index ordering PathEnum's DFS relies on for early termination.
@@ -120,11 +120,11 @@ object PathEnum {
   }
 
   def count(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Long =
-    enumerate(buildIndex(g, s, t, k), deadline)(_ => ())
+    enumerate(buildIndex(g, s, t, k, deadline), deadline)(_ => ())
 
   /** SPG via enumeration: union the edges of every output path. */
   def spg(g: LocalGraph, s: Int, t: Int, k: Int, deadline: Long = Deadline.None): Set[Long] = {
-    val idx   = buildIndex(g, s, t, k)
+    val idx   = buildIndex(g, s, t, k, deadline)
     val edges = mutable.Set[Long]()
     enumerate(idx, deadline) { stack =>
       var i = 1

@@ -221,13 +221,13 @@ object Bfs {
 
   /** Plain k-bounded BFS from `root` over a CSR: vertex x's neighbors are
     * `nbr(off(x) until off(x+1))`, so `g.outOff, g.outDst` searches G and
-    * `g.inOff, g.inSrc` searches G^r.
+    * `g.inOff, g.inSrc` searches G^r. Checks `deadline` once per level.
     */
-  def bounded(off: Array[Int], nbr: Array[Int], root: Int, k: Int): Array[Int] = {
+  def bounded(off: Array[Int], nbr: Array[Int], root: Int, k: Int, deadline: Long = Deadline.None): Array[Int] = {
     val n = off.length - 1
     withScratch(n) { sc =>
       sc.fwd.visit(root, 0)
-      sc.fwd.expand(off, nbr, k, null, Deadline.None)
+      sc.fwd.expand(off, nbr, k, null, deadline)
       java.util.Arrays.copyOf(sc.fwd.dist, n)
     }
   }

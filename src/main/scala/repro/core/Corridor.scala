@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Arrays
+
 /** The corridor G^k_st of one query in compact local ids (§3.3): the
   * vertices y with Δ(s,y)+Δ(y,t) ≤ k and the window edges between them.
   *
@@ -19,7 +21,7 @@ final class Corridor private (
     val dists: Bfs.Dists,
 ) {
   /** Local id of global vertex `v`, or -1 outside the corridor. */
-  def local(v: Int): Int = math.max(-1, java.util.Arrays.binarySearch(ids, v))
+  def local(v: Int): Int = math.max(-1, Arrays.binarySearch(ids, v))
 
   /** Encoded local edges in global ids; ascending stays ascending. */
   def global(edges: Array[Long]): Array[Long] = {
@@ -35,58 +37,56 @@ final class Corridor private (
 
 object Corridor {
 
-  /** The corridor of query (s, t) under `mode`'s distance search, built on
-    * a borrowed scratch; empty (no vertices) when Δ(s,t) > k.
+  /** The corridor of query (s, t) under `mode`'s distance search, which
+    * checks `deadline` once per level, built on a borrowed scratch; empty
+    * (no vertices) when Δ(s,t) > k.
     */
-  def of(g: LocalGraph, s: Int, t: Int, k: Int, mode: Bfs.SearchMode): Corridor = {
+  def of(g: LocalGraph, s: Int, t: Int, k: Int, mode: Bfs.SearchMode, deadline: Long = Deadline.None): Corridor = {
     g.requireQuery(s, t, k)
-    Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, mode, Deadline.None); Corridor(g, sc, k) }
+    Bfs.withScratch(g.n) { sc => sc.search(g, s, t, k, mode, deadline); Corridor(g, sc, k) }
   }
 
   /** The corridor of the query whose bounded distances `sc` holds, read
     * from the forward visit list: every corridor vertex has an exact, so
     * finite, Δ(s,·) and was reached forward. Elsewhere the distances only
     * over-estimate (every [[Bfs.SearchMode]] guarantees this), so the vertex
-    * and edge tests below select exactly G^k_st. Builds in O(reached +
-    * out-edges of the corridor vertices), with the CSR's four arrays as the
-    * graph's only allocations, and overwrites the forward distance of each corridor
-    * vertex with its local id, so release `sc` afterwards.
+    * and edge tests below select exactly G^k_st. Fills each array in one
+    * pass, doubling from the corridor's size and trimming once, and
+    * overwrites the forward distance of each corridor vertex with its local
+    * id, so release `sc` afterwards.
     */
   def apply(g: LocalGraph, sc: Bfs.Scratch, k: Int): Corridor = {
     val dF = sc.fwd.dist; val dB = sc.bwd.dist
     val visits = sc.fwd.queue; val reached = sc.fwd.reached
-    var c = 0; var i = 0
-    while (i < reached) { val y = visits(i); if (dF(y) + dB(y) <= k) c += 1; i += 1 }
-    val ids = new Array[Int](c)
-    c = 0; i = 0
-    while (i < reached) { val y = visits(i); if (dF(y) + dB(y) <= k) { ids(c) = y; c += 1 }; i += 1 }
-    java.util.Arrays.sort(ids)
+    var ids = new Array[Int](16); var c = 0; var i = 0
+    while (i < reached) {
+      val y = visits(i); i += 1
+      if (dF(y) + dB(y) <= k) { if (c == ids.length) ids = Arrays.copyOf(ids, 2 * c); ids(c) = y; c += 1 }
+    }
+    ids = Arrays.copyOf(ids, c)
+    Arrays.sort(ids)
     // Local distances, then each corridor vertex's forward entry holds its
     // local id (global → local); the backward entries stay as they are.
     val lF = new Array[Int](c); val lB = new Array[Int](c)
     i = 0
     while (i < c) { val y = ids(i); lF(i) = dF(y); lB(i) = dB(y); dF(y) = i; i += 1 }
-    // Window out-degrees, then the window out-neighbors in local ids. Both
-    // ends of a window edge lie in the corridor, and each out-list ascends.
+    // The window out-neighbors in local ids, list i ending at outOff(i+1).
+    // Both ends of a window edge lie in the corridor, and each list ascends.
     val outOff = new Array[Int](c + 1)
+    var outDst = new Array[Int](c); var p = 0
     i = 0
     while (i < c) {
       val y = ids(i); var j = g.outOff(y)
-      while (j < g.outOff(y + 1)) { if (Bfs.inWindow(lF(i), dB(g.outDst(j)), k)) outOff(i + 1) += 1; j += 1 }
-      i += 1
-    }
-    LocalGraph.prefixSums(outOff)
-    val outDst = new Array[Int](outOff(c))
-    i = 0
-    while (i < c) {
-      val y = ids(i); var j = g.outOff(y); var p = outOff(i)
       while (j < g.outOff(y + 1)) {
         val v = g.outDst(j)
-        if (Bfs.inWindow(lF(i), dB(v), k)) { outDst(p) = dF(v); p += 1 }
+        if (Bfs.inWindow(lF(i), dB(v), k)) {
+          if (p == outDst.length) outDst = Arrays.copyOf(outDst, 2 * p)
+          outDst(p) = dF(v); p += 1
+        }
         j += 1
       }
-      i += 1
+      i += 1; outOff(i) = p
     }
-    new Corridor(ids, LocalGraph.fromOutCsr(c, outOff, outDst), Bfs.Dists(lF, lB))
+    new Corridor(ids, LocalGraph.fromOutCsr(c, outOff, Arrays.copyOf(outDst, p)), Bfs.Dists(lF, lB))
   }
 }

@@ -129,9 +129,8 @@ object EssentialVertices {
       var ti = 0
       while (ti < touchedLen) {
         val y = touched(ti)
-        val changed = (prev(y) == null) || ((cur(y) ne prev(y)) &&
-          !java.util.Arrays.equals(cur(y), prev(y)))
-        if (changed) { touched(nextLen) = y; nextLen += 1 }
+        // A set other than prev(y) is a strictly shorter keepIn result (DESIGN.md §6).
+        if (prev(y) == null || (cur(y) ne prev(y))) { touched(nextLen) = y; nextLen += 1 }
         ti += 1
       }
       val spent = frontier

@@ -75,6 +75,7 @@ final class Verifier(
     }
 
   private val onStack = new Array[Boolean](ub.n)
+  onStack(ub.s) = true; onStack(ub.t) = true // no search pushes or clears either (DESIGN.md §6)
   private val stack   = new Array[Int](k) // witness path edge ids; q* has ≤ k-4
   private var depth   = 0
   private var frames  = 0L
@@ -114,7 +115,7 @@ final class Verifier(
     val u = eSrc(e); val v = eDst(e)
     // (c): q* through e(u,v) has ≥ fromDeparture(u) + 1 + toArrival(v) hops.
     if (toArrival(v) > k - 5 - fromDeparture(u)) return
-    onStack(u) = true; onStack(v) = true; onStack(ub.s) = true; onStack(ub.t) = true
+    onStack(u) = true; onStack(v) = true
     stack(0) = e; depth = 1
     val before = frames
     forward(v, 1, u)
@@ -123,7 +124,6 @@ final class Verifier(
     // vertex the surviving stack touched — a stale mark would wrongly block
     // later edges' searches.
     var i = 0; while (i < depth) { onStack(eSrc(stack(i))) = false; onStack(eDst(stack(i))) = false; i += 1 }
-    onStack(ub.s) = false; onStack(ub.t) = false
   }
 
   private def forward(cur: Int, l: Int, u: Int): Boolean = {

@@ -107,6 +107,16 @@ class BaselinesSpec extends SparkSpec {
     intercept[DeadlineExceeded](PathEnum.count(g, 0, 1, 8, expired))
   }
 
+  test("an expired deadline stops a small query in its distance search") {
+    // Five paths at k=4: the enumerations end long before their first
+    // periodic check, so only the distance searches can throw.
+    import PaperGraph._
+    val expired = System.nanoTime() - 1
+    intercept[DeadlineExceeded](JoinEnum.count(graph, s, t, 4, expired))
+    intercept[DeadlineExceeded](BcDfs.count(graph, s, t, 4, expired))
+    intercept[DeadlineExceeded](PathEnum.count(graph, s, t, 4, expired))
+  }
+
   test("PathEnum optimizer picks DFS on sparse chains and still counts right") {
     val g = LocalGraph.fromEdges(6, Seq((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
     val idx = PathEnum.buildIndex(g, 0, 5, 5)
