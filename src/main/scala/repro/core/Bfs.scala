@@ -16,7 +16,8 @@ package repro.core
   *                                 explored close enough to the other end;
   *  - [[SearchMode.Adaptive]]    — same, but each step advances whichever
   *                                 frontier is currently smaller (Adaptive
-  *                                 Bi-directional Search [2,21]).
+  *                                 Bi-directional Search [2,21]), measured
+  *                                 by the edges its expansion reads.
   *
   * All three return exact Δ(s,y) and Δ(y,t) for every y with
   * Δ(s,y)+Δ(y,t) ≤ k (property-tested), encoded as Int arrays with
@@ -63,12 +64,13 @@ object Bfs {
   /** One side of a search: distances over all n vertices and the side's
     * visit list, which is also its BFS queue. Level `depth`, the frontier,
     * is `queue(head until tail)`; `queue(0 until reached)` is every vertex
-    * the side reached, in order of distance.
+    * the side reached, in order of distance. `volume` is the frontier's
+    * degree sum in the side's direction, the edges expanding it reads.
     */
   final class Side private[Bfs] (n: Int) {
     val dist: Array[Int] = unreached(n)
     private[core] var queue = new Array[Int](256)
-    private[Bfs] var head, tail, depth = 0
+    private[Bfs] var head, tail, depth, volume = 0
 
     def reached: Int = tail
 
@@ -81,23 +83,26 @@ object Bfs {
     /** Levels until depth k or an empty frontier: every still-unreached
       * neighbor y over the CSR `off`/`nbr` of a frontier vertex gets distance
       * depth+1, when `within` is given only if depth+1 + `within(y)` ≤ k.
-      * Checks `deadline` after each level.
+      * Sets `volume` to the new level's degree sum over `off`. Checks
+      * `deadline` after each level.
       */
     private[Bfs] def expand(off: Array[Int], nbr: Array[Int], k: Int, within: Array[Int], deadline: Long,
                             levels: Int = Int.MaxValue): Unit = {
       var l = 0
       while (l < levels && depth < k && head < tail) {
-        val end = tail; val limit = k - depth - 1; var i = head
+        val end = tail; val limit = k - depth - 1; var i = head; var vol = 0
         while (i < end) {
           val x = queue(i); var j = off(x); val stop = off(x + 1)
           while (j < stop) {
             val y = nbr(j)
-            if (dist(y) == Inf && (within == null || within(y) <= limit)) visit(y, depth + 1)
+            if (dist(y) == Inf && (within == null || within(y) <= limit)) {
+              visit(y, depth + 1); vol += off(y + 1) - off(y)
+            }
             j += 1
           }
           i += 1
         }
-        head = end; depth += 1; l += 1
+        head = end; depth += 1; volume = vol; l += 1
         Deadline.check(deadline)
       }
     }
@@ -106,7 +111,7 @@ object Bfs {
     private[Bfs] def reset(): Unit = {
       var i = 0
       while (i < tail) { dist(queue(i)) = Inf; i += 1 }
-      head = 0; tail = 0; depth = 0
+      head = 0; tail = 0; depth = 0; volume = 0
     }
   }
 
@@ -126,17 +131,18 @@ object Bfs {
       */
     def search(g: LocalGraph, s: Int, t: Int, k: Int, mode: SearchMode, deadline: Long): Unit = {
       fwd.visit(s, 0); bwd.visit(t, 0)
+      fwd.volume = g.outDeg(s); bwd.volume = g.inDeg(t)
       val bidirectional = mode != SearchMode.Single
       // Bi-directional phase 1: split the depth budget k−1 between the sides.
       // A corridor vertex y that neither side reaches would have
       // Δ(s,y)+Δ(y,t) ≥ (depthF+1)+(depthB+1) = k+1, so each lies in one
-      // side's phase-1 ball.
+      // side's phase-1 ball. That holds for any split, so Adaptive may pick
+      // the side whose frontier has fewer edges to read.
       while (bidirectional && fwd.depth + bwd.depth < k - 1 && (fwd.head < fwd.tail || bwd.head < bwd.tail)) {
-        val sizeF = fwd.tail - fwd.head; val sizeB = bwd.tail - bwd.head
         val forward =
-          if (sizeF == 0) false
-          else if (sizeB == 0) true
-          else if (mode == SearchMode.Adaptive) sizeF <= sizeB
+          if (fwd.head == fwd.tail) false
+          else if (bwd.head == bwd.tail) true
+          else if (mode == SearchMode.Adaptive) fwd.volume <= bwd.volume
           else fwd.depth <= bwd.depth // strict alternation, forward first (⌈(k−1)/2⌉ / ⌊(k−1)/2⌋)
         if (forward) fwd.expand(g.outOff, g.outDst, k, null, deadline, levels = 1)
         else bwd.expand(g.inOff, g.inSrc, k, null, deadline, levels = 1)

@@ -51,9 +51,10 @@ object Corridor {
     * finite, Δ(s,·) and was reached forward. Elsewhere the distances only
     * over-estimate (every [[Bfs.SearchMode]] guarantees this), so the vertex
     * and edge tests below select exactly G^k_st. Fills each array in one
-    * pass, doubling from the corridor's size and trimming once, and
-    * overwrites the forward distance of each corridor vertex with its local
-    * id, so release `sc` afterwards.
+    * pass, doubling from the corridor's size and trimming once, and reads
+    * an out-list of d > c entries (c corridor vertices) by c lookups, not
+    * in full. Overwrites the forward distance of each corridor vertex with
+    * its local id, so release `sc` afterwards.
     */
   def apply(g: LocalGraph, sc: Bfs.Scratch, k: Int): Corridor = {
     val dF = sc.fwd.dist; val dB = sc.bwd.dist
@@ -72,18 +73,35 @@ object Corridor {
     while (i < c) { val y = ids(i); lF(i) = dF(y); lB(i) = dB(y); dF(y) = i; i += 1 }
     // The window out-neighbors in local ids, list i ending at outOff(i+1).
     // Both ends of a window edge lie in the corridor, and each list ascends.
+    // An out-list longer than the corridor is not scanned: each corridor
+    // vertex r that passes the window test is looked up in the rest of it.
+    // Out-lists ascend like `ids`, so the lookups move forward only.
     val outOff = new Array[Int](c + 1)
     var outDst = new Array[Int](c); var p = 0
     i = 0
     while (i < c) {
-      val y = ids(i); var j = g.outOff(y)
-      while (j < g.outOff(y + 1)) {
-        val v = g.outDst(j)
-        if (Bfs.inWindow(lF(i), dB(v), k)) {
-          if (p == outDst.length) outDst = Arrays.copyOf(outDst, 2 * p)
-          outDst(p) = dF(v); p += 1
+      val y = ids(i); var j = g.outOff(y); val stop = g.outOff(y + 1)
+      if (stop - j <= c) {
+        while (j < stop) {
+          val v = g.outDst(j)
+          if (Bfs.inWindow(lF(i), dB(v), k)) {
+            if (p == outDst.length) outDst = Arrays.copyOf(outDst, 2 * p)
+            outDst(p) = dF(v); p += 1
+          }
+          j += 1
         }
-        j += 1
+      } else {
+        var r = 0
+        while (r < c && j < stop) {
+          if (Bfs.inWindow(lF(i), lB(r), k)) {
+            val at = Arrays.binarySearch(g.outDst, j, stop, ids(r))
+            if (at >= 0) {
+              if (p == outDst.length) outDst = Arrays.copyOf(outDst, 2 * p)
+              outDst(p) = r; p += 1; j = at + 1
+            } else j = -at - 1
+          }
+          r += 1
+        }
       }
       i += 1; outOff(i) = p
     }

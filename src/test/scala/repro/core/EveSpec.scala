@@ -118,11 +118,19 @@ class EveSpec extends SparkSpec {
 
   test("paper graph: BFS reached counters match a hand count of both visit lists") {
     import PaperGraph._
-    // k=4, adaptive: forward {s} → {a,c} → {h,i,b,t}, and phase 2 adds none;
-    // backward {t} → {b,c} → {h,s,a}, and phase 2 adds none (j, i unmet).
+    // k=4, adaptive: each side's frontier weighs its degree sum (out-degree
+    // forward, in-degree backward). s's 2 out-edges tie t's 2 in-edges, so
+    // forward goes first: {s} → {a,c}, volume 3+2 = 5. Backward's volumes
+    // then stay below it: {t} → {b,c} (volume 4) → {h,s,a}, which ends
+    // phase 1 at depth sum 3. Phase 2 forward adds h, b and t, each within
+    // 2 of t by the backward distances (i is not), then none; backward adds
+    // none (j unmet). So F = {s,a,c,h,b,t}, where the vertex-count rule
+    // expanded {a,c} in phase 1 and also reached i (F = 7).
     val k4 = Eve.run(graph, s, t, 4).stats
-    assert(k4.bfsReachedF == 7 && k4.bfsReachedB == 6)
-    // k=7: backward takes levels 3–5 ({j}, {i}, {}); forward's phase 2 adds j.
+    assert(k4.bfsReachedF == 6 && k4.bfsReachedB == 6)
+    // k=7: forward stops at {a,c} (volume 5) in phase 1, and backward takes
+    // levels 1–5 ({b,c}, {h,s,a}, {j}, {i}, {}); forward's phase 2 adds h,
+    // i, b, t and then j.
     val k7 = Eve.run(graph, s, t, 7).stats
     assert(k7.bfsReachedF == 8 && k7.bfsReachedB == 8)
     // Naive EVE (single BFS to depth k from both ends) reaches all 8 vertices.
@@ -136,6 +144,9 @@ class EveSpec extends SparkSpec {
     // (F / B) under Adaptive 4,501 / 5,253, 13,288 / 13,982 and
     // 32,375 / 33,969 at k = 4, 5, 6, and under BiDir 5,231 / 7,673,
     // 23,123 / 17,705 and 34,433 / 35,888. A looser search reaches more.
+    // Adaptive picks the frontier with the smaller degree sum; picking the
+    // one with fewer vertices reached 2,200 / 1,199, 3,795 / 3,863 and
+    // 13,687 / 13,802.
     val g = GraphGen.powerLaw(3000, 9000, alpha = 0.9, seed = 17)
     val reached = for (mode <- Seq(Bfs.SearchMode.Adaptive, Bfs.SearchMode.BiDir); k <- Seq(4, 5, 6)) yield {
       val stats = GraphGen.queries(g, k, 40, seed = 3L * k).map { case (s, t) =>
@@ -144,9 +155,9 @@ class EveSpec extends SparkSpec {
       (mode, k) -> (stats.map(_.bfsReachedF).sum, stats.map(_.bfsReachedB).sum)
     }
     assert(reached.toMap == Map(
-      (Bfs.SearchMode.Adaptive, 4) -> ((2200, 1199)),
-      (Bfs.SearchMode.Adaptive, 5) -> ((3795, 3863)),
-      (Bfs.SearchMode.Adaptive, 6) -> ((13687, 13802)),
+      (Bfs.SearchMode.Adaptive, 4) -> ((861, 931)),
+      (Bfs.SearchMode.Adaptive, 5) -> ((3255, 2728)),
+      (Bfs.SearchMode.Adaptive, 6) -> ((12846, 13402)),
       (Bfs.SearchMode.BiDir, 4)    -> ((3918, 701)),
       (Bfs.SearchMode.BiDir, 5)    -> ((3638, 4802)),
       (Bfs.SearchMode.BiDir, 6)    -> ((24339, 9933)),
